@@ -14,8 +14,8 @@ The pieces map one-to-one onto the paper's sections:
   reporting metrics ``Delta C`` (Eq. 12) and ``E-bar`` (Eq. 13).
 * :mod:`repro.core.gradient` — the total derivative ``[D_P U]`` (Eq. 10)
   and its row-sum-zero projection (Eq. 11).
-* :mod:`repro.core.descent` / :mod:`~repro.core.adaptive` /
-  :mod:`~repro.core.perturbed` — algorithm variants V1-V4 (Section V).
+* :mod:`repro.core.perturbed` — algorithm variants V1-V4 (Section V),
+  all driven by one descent walk.
 """
 
 from repro.core.state import ChainState
@@ -55,9 +55,14 @@ from repro.core.initializers import (
     uniform_matrix,
 )
 from repro.core.result import IterationRecord, OptimizationResult
-from repro.core.descent import BasicDescentOptions, optimize_basic
-from repro.core.adaptive import AdaptiveOptions, optimize_adaptive
-from repro.core.perturbed import PerturbedOptions, optimize_perturbed
+from repro.core.perturbed import (
+    AdaptiveOptions,
+    BasicDescentOptions,
+    PerturbedOptions,
+    optimize_adaptive,
+    optimize_basic,
+    optimize_perturbed,
+)
 from repro.core.mirror import MirrorOptions, optimize_mirror
 from repro.core.multistart import (
     MultiStartResult,

@@ -1,8 +1,8 @@
 """``repro.optimize`` — the scipy-minimize-style front door.
 
 Every optimizer variant keeps its direct entry point
-(:func:`~repro.core.descent.optimize_basic`,
-:func:`~repro.core.adaptive.optimize_adaptive`, ...), but callers who
+(:func:`~repro.core.perturbed.optimize_basic`,
+:func:`~repro.core.perturbed.optimize_adaptive`, ...), but callers who
 select the algorithm at runtime — the CLI, the experiment harness,
 parameter sweeps — go through one façade::
 
@@ -31,13 +31,18 @@ from typing import Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.core.adaptive import AdaptiveOptions, optimize_adaptive
 from repro.core.cost import CoverageCost
-from repro.core.descent import BasicDescentOptions, optimize_basic
 from repro.core.mirror import MirrorOptions, optimize_mirror
 from repro.core.multistart import optimize_multistart
 from repro.core.options import OptimizerOptions, coerce_options
-from repro.core.perturbed import PerturbedOptions, optimize_perturbed
+from repro.core.perturbed import (
+    AdaptiveOptions,
+    BasicDescentOptions,
+    PerturbedOptions,
+    optimize_adaptive,
+    optimize_basic,
+    optimize_perturbed,
+)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def lockstep_multistart(
     then each start gets its own spawned stream — so every returned run
     (trajectory, history, best matrix) is bit-identical to the serial
     driver's, only faster.  Supports the default perturbed optimizer
-    (the only one whose walk exposes the lockstep protocol).
+    only: the fused stages are its walks' trisection line searches.
     """
     options = options or PerturbedOptions()
     started = time.perf_counter()

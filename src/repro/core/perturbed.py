@@ -1,40 +1,56 @@
-"""Variant V4: stochastically perturbed steepest descent.
+"""The paper's descent algorithm, variants V1-V4, as one walk.
 
-The search space of this problem contains surprisingly many local optima
-(Section VI-A), so pure descent gets trapped from most random starts.  V4
-escapes them with two mechanisms (Section V):
+Section V builds one algorithm in layers, and this module runs every
+layer through the same per-iteration loop (:func:`advance_walk` over a
+:class:`PerturbedWalk`):
 
-1. **Gradient noise** — mean-zero Gaussian noise with standard deviation
-   ``sigma`` is added to ``[D_P U]`` before projection, randomizing the
-   search direction.
-2. **Annealed acceptance** — when the line search finds no improving step
-   (``dt* = 0``), a random feasible step is taken instead; a move that
-   worsens the cost is accepted with probability
-   ``exp(-Delta_U / T(count))``, where ``Delta_U`` is the worsening
-   normalized by the best cost found so far and ``T(count) =
-   k / ln(count + e)`` is a Hajek-style logarithmic cooling schedule.
+* **V1** (:func:`optimize_basic`) — from the uniform matrix, step
+  ``P <- P + V * dt`` along ``V = -Pi [D_P U]`` with a small constant
+  ``dt``, halving it if the candidate is not a valid chain, and take
+  every step;
+* **V2 + V3** (:func:`optimize_adaptive`) — from a random matrix, pick
+  each step by the conservative trisection line search of
+  :mod:`repro.core.linesearch`, and stop when it returns ``dt* = 0``:
+  no improving step along the descent direction, i.e. (numerically) a
+  local optimum, the paper's definition;
+* **V4** (:func:`optimize_perturbed`) — escape those local optima with
+  two mechanisms:
+
+  1. **Gradient noise** — mean-zero Gaussian noise with standard
+     deviation ``sigma`` is added to ``[D_P U]`` before projection,
+     randomizing the search direction.
+  2. **Annealed acceptance** — when the line search finds no improving
+     step (``dt* = 0``), a random feasible step is taken instead; a move
+     that worsens the cost is accepted with probability
+     ``exp(-Delta_U / T(count))``, where ``Delta_U`` is the worsening
+     normalized by the best cost found so far and ``T(count) =
+     k / ln(count + e)`` is a Hajek-style logarithmic cooling schedule.
 
 The printed formula in the paper (``exp(-Delta_U / (k log count))``) would
 make acceptance *more* likely over time, contradicting both the
 surrounding text and the cited Hajek cooling result; see DESIGN.md
 section 2 for why we implement the decreasing schedule.
 
-The best-so-far matrix is tracked and returned: annealing deliberately
-wanders uphill, so the final iterate need not be the best one seen.
+Each variant's options class fixes its three choices as class constants
+(not fields, so they never enter a request digest): ``STEP_POLICY``
+(``"constant"`` or ``"trisection"``), ``PERTURBATION`` (``"none"`` or
+``"gaussian"``) and ``ACCEPTANCE`` (``"greedy"``: take the chosen step;
+or ``"annealed"``).  Greedy walks report their final iterate; annealing
+deliberately wanders uphill, so annealed walks report the best one seen.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.cost import CoverageCost
-from repro.core.initializers import paper_random_matrix
+from repro.core.initializers import paper_random_matrix, uniform_matrix
 from repro.core.linesearch import feasible_step_bound, trisection_search
-from repro.core.options import SearchOptions
+from repro.core.options import OptimizerOptions, SearchOptions
 from repro.core.result import IterationRecord, OptimizationResult
 from repro.utils import perf
 from repro.utils.rng import (
@@ -47,6 +63,58 @@ from repro.utils.rng import (
 #: Schema tag of :meth:`PerturbedWalk.snapshot` payloads (the service's
 #: mid-run job checkpoints, :mod:`repro.service`).
 WALK_SNAPSHOT_SCHEMA = "repro/walk-snapshot/v1"
+
+#: Stop reasons that mean the walk converged (rather than ran out).
+CONVERGED_REASONS = ("stalled", "gradient_tol", "local_optimum")
+
+#: Halvings a constant step may take before the walk gives up.
+MAX_HALVINGS = 60
+
+
+@dataclass(frozen=True)
+class BasicDescentOptions(OptimizerOptions):
+    """Knobs of the basic algorithm (V1).
+
+    ``step_size`` is the paper's ``dt`` (its experiments use ``1e-6``
+    with travel times in seconds).  Convergence is declared when the
+    relative cost improvement stays below ``rtol`` for ``patience``
+    consecutive iterations, or the projected-gradient norm drops below
+    ``gradient_tol``.
+    """
+
+    STEP_POLICY: ClassVar[str] = "constant"
+    PERTURBATION: ClassVar[str] = "none"
+    ACCEPTANCE: ClassVar[str] = "greedy"
+
+    max_iterations: int = 10_000
+    rtol: float = 1e-10
+    step_size: float = 1e-6
+    patience: int = 10
+    gradient_tol: float = 0.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.step_size <= 0:
+            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
+
+
+@dataclass(frozen=True)
+class AdaptiveOptions(SearchOptions):
+    """Knobs of the adaptive algorithm (V2 + V3).
+
+    ``reuse_linesearch_state`` hands the line search's winning probe's
+    ``(pi, Z)`` to the accepted iterate instead of refactorizing from
+    scratch; disable it only to cross-check the two paths.
+    """
+
+    STEP_POLICY: ClassVar[str] = "trisection"
+    PERTURBATION: ClassVar[str] = "none"
+    ACCEPTANCE: ClassVar[str] = "greedy"
+
+    max_iterations: int = 500
+    reuse_linesearch_state: bool = True
 
 
 @dataclass(frozen=True)
@@ -64,6 +132,10 @@ class PerturbedOptions(SearchOptions):
     instead of refactorizing from scratch (see ``docs/performance.md``);
     disable it only to cross-check the two paths.
     """
+
+    STEP_POLICY: ClassVar[str] = "trisection"
+    PERTURBATION: ClassVar[str] = "gaussian"
+    ACCEPTANCE: ClassVar[str] = "annealed"
 
     max_iterations: int = 600
     sigma: float = 0.5
@@ -101,89 +173,36 @@ def acceptance_probability(
     return float(np.exp(-normalized / temperature))
 
 
-def acquire_candidate(
-    cost: CoverageCost,
-    base_matrix: np.ndarray,
-    direction: np.ndarray,
-    step: float,
-    ray,
-    from_search: bool,
-    reuse: bool,
-    probe=None,
-):
-    """The candidate state and breakdown at ``base + step * direction``.
-
-    With ``reuse`` enabled, line-search winners come back from the
-    :class:`~repro.core.cost.RayBatch` with their already-computed
-    ``(pi, Z)``, and random fallback steps are evaluated through the
-    same batched path — either way no scalar refactorization happens.
-    ``probe`` optionally supplies an already-evaluated
-    ``(value, state_or_None)`` fallback probe (the lockstep driver fuses
-    those across trajectories); when omitted, ``ray.probe_state`` is
-    called here.  Falls back to a scratch :meth:`CoverageCost.build_state`
-    build when the probe cannot be recovered.  Returns ``(None, None)``
-    for infeasible candidates.
-    """
-    candidate_state = None
-    if reuse and ray is not None:
-        if from_search:
-            candidate_state = ray.state_at(step)
-        else:
-            if probe is None:
-                probe = ray.probe_state(step)
-            candidate_state = probe[1]
-            if candidate_state is None:
-                return None, None
-    if candidate_state is None:
-        try:
-            candidate_state = cost.build_state(
-                base_matrix + step * direction, check=False
-            )
-        except (ValueError, np.linalg.LinAlgError, RuntimeError):
-            return None, None
-    try:
-        return candidate_state, cost.evaluate(candidate_state)
-    except (ValueError, np.linalg.LinAlgError):
-        return None, None
-
-
-class SearchSpec:
+class SearchSpec(NamedTuple):
     """What one iteration's line search needs: the ray and its bounds."""
 
-    __slots__ = ("matrix", "direction", "bound", "baseline")
-
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        direction: np.ndarray,
-        bound: float,
-        baseline: float,
-    ) -> None:
-        self.matrix = matrix
-        self.direction = direction
-        self.bound = bound
-        self.baseline = baseline
+    matrix: np.ndarray
+    direction: np.ndarray
+    bound: float
+    baseline: float
 
 
 class PerturbedWalk:
-    """One perturbed-descent trajectory, advanced iteration by iteration.
+    """One descent trajectory (any of V1-V4), advanced iteration by
+    iteration.
 
-    :func:`optimize_perturbed` drives a single walk to completion; the
-    lockstep driver (:mod:`repro.core.lockstep`) advances many walks one
-    stage at a time, fusing their line-search probes into stacked
-    evaluations.  Both paths run the identical per-iteration arithmetic
-    and draw from the walk's own RNG in the identical order — gradient
-    noise, then the fallback step, then the acceptance test (which is
-    short-circuited, drawing nothing, for non-worsening moves) — so a
-    walk's trajectory is bit-identical regardless of the driver.
+    The options class picks the variant (see the module docstring).
+    :func:`advance_walk` drives a single walk; the lockstep driver
+    (:mod:`repro.core.lockstep`) advances many perturbed walks one stage
+    at a time, fusing their line-search probes into stacked evaluations.
+    Both paths run the identical per-iteration arithmetic and draw from
+    the walk's own RNG in the identical order — gradient noise, then the
+    fallback step, then the acceptance test (which is short-circuited,
+    drawing nothing, for non-worsening moves) — so a walk's trajectory
+    is bit-identical regardless of the driver.
 
     Protocol per iteration: :meth:`begin_iteration` returns a
     :class:`SearchSpec` (or ``None`` once finished); the driver runs the
-    trisection search over that ray, then calls :meth:`choose_step` with
-    the search result, which returns a fallback step needing a probe (or
-    ``None``); finally :meth:`complete_iteration` with the ray and the
-    optional probe applies the move.  :meth:`result` packages the
-    outcome.
+    trisection search over that ray (or none, for a constant step), then
+    calls :meth:`choose_step` with the search result, which returns a
+    fallback step needing a probe (or ``None``); finally
+    :meth:`complete_iteration` with the ray and the optional probe
+    applies the move.  :meth:`result` packages the outcome.
     """
 
     def __init__(
@@ -191,17 +210,19 @@ class PerturbedWalk:
         cost: CoverageCost,
         initial: Optional[np.ndarray],
         rng,
-        options: PerturbedOptions,
+        options: OptimizerOptions,
     ) -> None:
         self.cost = cost
         self.options = options
         self.rng = as_generator(rng)
-        matrix = (
-            paper_random_matrix(
+        if initial is not None:
+            matrix = np.array(initial, dtype=float)
+        elif options.STEP_POLICY == "constant":
+            matrix = uniform_matrix(cost.size, support=cost.support)
+        else:
+            matrix = paper_random_matrix(
                 cost.size, seed=self.rng, support=cost.support
             )
-            if initial is None else np.array(initial, dtype=float)
-        )
         self.state = cost.build_state(matrix)
         self.breakdown = cost.evaluate(self.state)
         self.best_matrix = self.state.p.copy()
@@ -214,29 +235,42 @@ class PerturbedWalk:
         self.iteration = 0
         self.accepted_steps = 0
         self.accept_factorizations = 0
-        self._finished = options.max_iterations < 1
+        self.finished = options.max_iterations < 1
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
+    def _finish(self, reason: str, counted: bool = True) -> None:
+        """Stop the walk; an uncounted stop takes back its iteration."""
+        self.stop_reason = reason
+        self.finished = True
+        if not counted:
+            self.iteration -= 1
 
     def begin_iteration(self) -> Optional[SearchSpec]:
-        """Start the next iteration: noisy direction and step bound."""
-        if self._finished:
+        """Start the next iteration: (noisy) direction and step bound."""
+        if self.finished:
             return None
+        options = self.options
         self.iteration += 1
         gradient = self.cost.gradient(self.state)
-        self._gradient_norm = float(np.linalg.norm(gradient))
-        if self.options.sigma > 0.0:
-            if self.options.relative_noise:
-                rms = self._gradient_norm / self.state.p.size**0.5
-                noise_scale = self.options.sigma * max(rms, 1e-300)
-            else:
-                noise_scale = self.options.sigma
-            gradient = gradient + self.rng.normal(
-                0.0, noise_scale, size=gradient.shape
-            )
+        if options.PERTURBATION == "gaussian":
+            self._gradient_norm = float(np.linalg.norm(gradient))
+            if options.sigma > 0.0:
+                if options.relative_noise:
+                    rms = self._gradient_norm / self.state.p.size**0.5
+                    noise_scale = options.sigma * max(rms, 1e-300)
+                else:
+                    noise_scale = options.sigma
+                gradient = gradient + self.rng.normal(
+                    0.0, noise_scale, size=gradient.shape
+                )
         self._direction = -self.cost.project(gradient)
+        if options.PERTURBATION == "none":
+            self._gradient_norm = float(np.linalg.norm(self._direction))
+        if (
+            options.STEP_POLICY == "constant"
+            and self._gradient_norm <= options.gradient_tol
+        ):
+            self._finish("gradient_tol", counted=False)
+            return None
         self._bound = feasible_step_bound(self.state.p, self._direction)
         return SearchSpec(
             matrix=self.state.p,
@@ -246,67 +280,124 @@ class PerturbedWalk:
         )
 
     def choose_step(self, search) -> Optional[float]:
-        """Pick the step from the line-search result (or a random
-        fallback).
+        """Pick the step: the constant ``dt`` (``search`` is ``None``),
+        the line-search step, or — when that is ``dt* = 0`` — a local
+        optimum stop (greedy) or a random fallback step (annealed).
 
         Returns the fallback step when it needs a probe evaluation from
-        the driver (reuse enabled, no improving search step), else
-        ``None``.
+        the driver (reuse enabled), else ``None``.
         """
-        if search.step > 0.0:
+        options = self.options
+        self._step = 0.0
+        self._from_search = False
+        if search is None:
+            if self._bound <= 0.0:
+                self._finish("no_feasible_step")
+            else:
+                self._step = min(options.step_size, self._bound)
+        elif search.step > 0.0:
             self._step = search.step
             self._from_search = True
+        elif options.ACCEPTANCE == "greedy":
+            self._finish("local_optimum", counted=False)
         elif self._bound > 0.0:
             # Paper: "if dt* = 0 then dt = rand" within the feasible
             # range.
             self._step = self.rng.uniform(0.0, self._bound)
-            self._from_search = False
-        else:
-            self._step = 0.0
-            self._from_search = False
-        if (
-            self._step > 0.0
-            and not self._from_search
-            and self.options.reuse_linesearch_state
-        ):
-            return self._step
+            if self._step > 0.0 and options.reuse_linesearch_state:
+                return self._step
         return None
+
+    def _candidate(self, ray, probe):
+        """The candidate state and breakdown at ``P + step * V``.
+
+        With ``reuse`` enabled, line-search winners come back from the
+        :class:`~repro.core.cost.RayBatch` with their already-computed
+        ``(pi, Z)``, and random fallback steps are evaluated through the
+        same batched path — either way no scalar refactorization
+        happens.  ``probe`` is the driver's ``(value, state_or_None)``
+        evaluation of the fallback step :meth:`choose_step` asked for
+        (the lockstep driver fuses those across trajectories).
+        Otherwise the state is built
+        from scratch; a constant step (no ``ray``) is halved until that
+        build succeeds.  Returns ``(None, None)`` for infeasible
+        candidates.
+        """
+        cost, base = self.cost, self.state.p
+        state = None
+        if ray is not None and self.options.reuse_linesearch_state:
+            if self._from_search:
+                state = ray.state_at(self._step)
+            else:
+                state = probe[1]
+                if state is None:
+                    return None, None
+        if state is None:
+            for _ in range(MAX_HALVINGS if ray is None else 1):
+                try:
+                    state = cost.build_state(
+                        base + self._step * self._direction, check=False
+                    )
+                    break
+                except (ValueError, np.linalg.LinAlgError, RuntimeError):
+                    self._step *= 0.5
+            else:
+                return None, None
+        try:
+            return state, cost.evaluate(state)
+        except (ValueError, np.linalg.LinAlgError):
+            return None, None
+
+    def _accepts(self, candidate) -> bool:
+        """Greedy takes the chosen step; annealing tests it (Hajek)."""
+        if self.options.ACCEPTANCE == "greedy":
+            return True
+        if not np.isfinite(candidate.u_eps):
+            return False
+        worsening = candidate.u_eps - self.breakdown.u_eps
+        probability = acceptance_probability(
+            worsening, self.best_u_eps, self.iteration,
+            self.options.cooling_k,
+        )
+        return worsening <= 0.0 or self.rng.uniform() < probability
 
     def complete_iteration(self, ray, probe=None) -> None:
         """Acquire the candidate, run the acceptance test, bookkeep."""
+        if self.finished:
+            return
         options = self.options
+        previous = self.breakdown
         accepted = False
         if self._step > 0.0:
             with perf.perf_scope() as build:
-                candidate_state, candidate_breakdown = acquire_candidate(
-                    self.cost, self.state.p, self._direction, self._step,
-                    ray, self._from_search,
-                    options.reuse_linesearch_state, probe=probe,
-                )
-            if candidate_breakdown is not None and np.isfinite(
-                candidate_breakdown.u_eps
-            ):
-                worsening = (
-                    candidate_breakdown.u_eps - self.breakdown.u_eps
-                )
-                probability = acceptance_probability(
-                    worsening, self.best_u_eps, self.iteration,
-                    options.cooling_k,
-                )
-                if worsening <= 0.0 or self.rng.uniform() < probability:
-                    self.state = candidate_state
-                    self.breakdown = candidate_breakdown
-                    accepted = True
-                    self.accepted_steps += 1
-                    self.accept_factorizations += build.factorizations
+                candidate_state, candidate = self._candidate(ray, probe)
+            if candidate is None:
+                if options.ACCEPTANCE == "greedy":
+                    self._finish("step_collapse")
+                    return
+            elif self._accepts(candidate):
+                self.state = candidate_state
+                self.breakdown = candidate
+                accepted = True
+                self.accepted_steps += 1
+                self.accept_factorizations += build.factorizations
 
-        if self.breakdown.u_eps < self.best_u_eps - 1e-15:
+        improved = self.breakdown.u_eps < self.best_u_eps - 1e-15
+        if improved:
             self.best_u_eps = self.breakdown.u_eps
             self.best_matrix = self.state.p.copy()
             self.best_breakdown = self.breakdown
-            self.stall = 0
-        else:
-            self.stall += 1
+        # Annealed walks stall on the best cost, constant steps on the
+        # per-step improvement; trisection greedy walks stop at dt* = 0.
+        stall_limit = None
+        if options.ACCEPTANCE == "annealed":
+            stall_limit = options.stall_limit
+        elif options.STEP_POLICY == "constant":
+            stall_limit = options.patience
+            improved = previous.u_eps - self.breakdown.u_eps > (
+                options.rtol * max(1.0, abs(previous.u_eps))
+            )
+        self.stall = 0 if improved else self.stall + 1
 
         if options.record_history:
             self.history.append(
@@ -328,11 +419,10 @@ class PerturbedWalk:
         ):
             self.checkpoints.append((self.iteration, self.state.p.copy()))
 
-        if self.stall >= options.stall_limit:
-            self.stop_reason = "stalled"
-            self._finished = True
+        if stall_limit is not None and self.stall >= stall_limit:
+            self._finish("stalled")
         elif self.iteration >= options.max_iterations:
-            self._finished = True
+            self.finished = True
 
     def snapshot(self) -> dict:
         """JSON-plain snapshot of the walk at an iteration boundary.
@@ -349,8 +439,6 @@ class PerturbedWalk:
         invariant ``tests/core/test_reuse_and_perf.py`` pins), so a
         restored walk continues the trajectory bit for bit.
         """
-        from dataclasses import asdict
-
         return {
             "schema": WALK_SNAPSHOT_SCHEMA,
             "iteration": int(self.iteration),
@@ -359,7 +447,7 @@ class PerturbedWalk:
             "best_u_eps": float(self.best_u_eps),
             "stall": int(self.stall),
             "stop_reason": self.stop_reason,
-            "finished": bool(self._finished),
+            "finished": bool(self.finished),
             "accepted_steps": int(self.accepted_steps),
             "accept_factorizations": int(self.accept_factorizations),
             "rng": generator_state(self.rng),
@@ -375,7 +463,7 @@ class PerturbedWalk:
         cls,
         cost: CoverageCost,
         snapshot: dict,
-        options: PerturbedOptions,
+        options: OptimizerOptions,
     ) -> "PerturbedWalk":
         """Rebuild a walk from a :meth:`snapshot` payload.
 
@@ -395,7 +483,7 @@ class PerturbedWalk:
         walk.iteration = int(snapshot["iteration"])
         walk.stall = int(snapshot["stall"])
         walk.stop_reason = snapshot["stop_reason"]
-        walk._finished = bool(snapshot["finished"])
+        walk.finished = bool(snapshot["finished"])
         walk.accepted_steps = int(snapshot["accepted_steps"])
         walk.accept_factorizations = int(
             snapshot["accept_factorizations"]
@@ -420,39 +508,46 @@ class PerturbedWalk:
         return walk
 
     def result(self, run_perf=None) -> OptimizationResult:
-        """Package the walk's outcome (best iterate, as the paper
-        reports)."""
+        """Package the walk's outcome: the final iterate for greedy
+        walks, the best one for annealed walks (as the paper reports)."""
+        greedy = self.options.ACCEPTANCE == "greedy"
+        matrix = self.state.p.copy() if greedy else self.best_matrix
+        breakdown = self.breakdown if greedy else self.best_breakdown
         return OptimizationResult(
-            matrix=self.best_matrix,
-            u_eps=self.best_breakdown.u_eps,
-            u=self.best_breakdown.u,
-            delta_c=self.best_breakdown.delta_c,
-            e_bar=self.best_breakdown.e_bar,
+            matrix=matrix,
+            u_eps=breakdown.u_eps,
+            u=breakdown.u,
+            delta_c=breakdown.delta_c,
+            e_bar=breakdown.e_bar,
             iterations=self.iteration,
-            converged=self.stop_reason == "stalled",
+            converged=self.stop_reason in CONVERGED_REASONS,
             stop_reason=self.stop_reason,
             history=self.history,
-            best_matrix=self.best_matrix,
-            best_u_eps=self.best_u_eps,
+            best_u_eps=None if greedy else self.best_u_eps,
             checkpoints=self.checkpoints,
             perf=run_perf,
         )
 
 
 def advance_walk(
-    cost: CoverageCost, walk: PerturbedWalk, options: PerturbedOptions
+    cost: CoverageCost, walk: PerturbedWalk, options: OptimizerOptions
 ) -> bool:
     """Run one complete iteration of ``walk``; ``False`` once finished.
 
-    The single per-iteration driver shared by :func:`optimize_perturbed`
-    and the service's checkpointing runner (:mod:`repro.service.runner`)
-    — both therefore execute the identical call sequence (ray build,
-    trisection, fallback probe, acceptance), so a job driven with
-    per-iteration checkpointing is bit-identical to a plain run.
+    The single per-iteration driver shared by every method's entry
+    point and the service's checkpointing runner
+    (:mod:`repro.service.runner`) — both therefore execute the identical
+    call sequence (ray build, trisection, fallback probe, acceptance),
+    so a job driven with per-iteration checkpointing is bit-identical to
+    a plain run.
     """
     spec = walk.begin_iteration()
     if spec is None:
         return False
+    if options.STEP_POLICY == "constant":
+        walk.choose_step(None)
+        walk.complete_iteration(None)
+        return True
     ray = cost.ray_batch(spec.matrix, spec.direction)
     search = trisection_search(
         upper=spec.bound,
@@ -468,6 +563,57 @@ def advance_walk(
     return True
 
 
+def _run_walk(
+    cost: CoverageCost,
+    initial: Optional[np.ndarray],
+    seed: RandomState,
+    options: OptimizerOptions,
+) -> OptimizationResult:
+    """Drive one walk to completion under a per-run perf scope."""
+    started = time.perf_counter()
+    with perf.perf_scope() as counters:
+        walk = PerturbedWalk(cost, initial, seed, options)
+        while advance_walk(cost, walk, options):
+            pass
+
+    return walk.result(
+        run_perf=perf.OptimizerPerf.from_counters(
+            counters,
+            accepted_steps=walk.accepted_steps,
+            accept_factorizations=walk.accept_factorizations,
+            seconds=time.perf_counter() - started,
+        )
+    )
+
+
+def optimize_basic(
+    cost: CoverageCost,
+    initial: Optional[np.ndarray] = None,
+    options: Optional[BasicDescentOptions] = None,
+) -> OptimizationResult:
+    """Run the basic algorithm (V1) on ``cost``.
+
+    ``initial`` defaults to the uniform matrix ``p_ij = 1/M`` as in the
+    paper's V1; pass a random matrix for the V2 variant.
+    """
+    return _run_walk(cost, initial, None, options or BasicDescentOptions())
+
+
+def optimize_adaptive(
+    cost: CoverageCost,
+    initial: Optional[np.ndarray] = None,
+    seed: RandomState = None,
+    options: Optional[AdaptiveOptions] = None,
+) -> OptimizationResult:
+    """Run the adaptive algorithm (V2 + V3) on ``cost``.
+
+    ``initial`` defaults to the paper's V2 random matrix drawn with
+    ``seed``.  Returns with ``stop_reason = "local_optimum"`` when the line
+    search finds no improving step — the behavior Fig. 2 measures.
+    """
+    return _run_walk(cost, initial, seed, options or AdaptiveOptions())
+
+
 def optimize_perturbed(
     cost: CoverageCost,
     initial: Optional[np.ndarray] = None,
@@ -480,19 +626,4 @@ def optimize_perturbed(
     quantity the paper reports); the full trajectory, including rejected
     and uphill moves, is available in ``history``.
     """
-    options = options or PerturbedOptions()
-    rng = as_generator(seed)
-    started = time.perf_counter()
-    with perf.perf_scope() as counters:
-        walk = PerturbedWalk(cost, initial, rng, options)
-        while advance_walk(cost, walk, options):
-            pass
-
-    return walk.result(
-        run_perf=perf.OptimizerPerf.from_counters(
-            counters,
-            accepted_steps=walk.accepted_steps,
-            accept_factorizations=walk.accept_factorizations,
-            seconds=time.perf_counter() - started,
-        )
-    )
+    return _run_walk(cost, initial, seed, options or PerturbedOptions())

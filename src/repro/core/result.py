@@ -21,8 +21,10 @@ class IterationRecord:
 
     ``step`` is the step size actually taken (0 for a rejected proposal),
     ``accepted`` distinguishes annealing rejections in the perturbed
-    variant, and ``gradient_norm`` is the Frobenius norm of the projected
-    gradient at the iterate *before* the step.
+    variant, and ``gradient_norm`` is a Frobenius norm at the iterate
+    *before* the step: of the raw gradient ``[D_P U]`` (before noise)
+    for the perturbed variant, of the projected descent direction for
+    the basic and adaptive variants.
     """
 
     iteration: int

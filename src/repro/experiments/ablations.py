@@ -16,10 +16,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.adaptive import AdaptiveOptions, optimize_adaptive
 from repro.core.cost import CostWeights, CoverageCost
-from repro.core.descent import BasicDescentOptions, optimize_basic
-from repro.core.perturbed import PerturbedOptions, optimize_perturbed
+from repro.core.perturbed import (
+    AdaptiveOptions,
+    BasicDescentOptions,
+    PerturbedOptions,
+    optimize_adaptive,
+    optimize_basic,
+    optimize_perturbed,
+)
 from repro.experiments.config import current_scale
 from repro.experiments.reporting import TableResult
 from repro.topology.library import paper_topology

@@ -24,8 +24,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.cost import CostWeights, CoverageCost
-from repro.core.descent import BasicDescentOptions, optimize_basic
-from repro.core.perturbed import PerturbedOptions, optimize_perturbed
+from repro.core.perturbed import (
+    BasicDescentOptions,
+    PerturbedOptions,
+    optimize_basic,
+    optimize_perturbed,
+)
 from repro.experiments.config import current_scale
 from repro.experiments.reporting import FigureResult, Series, empirical_cdf
 from repro.experiments.runner import (

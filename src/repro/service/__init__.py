@@ -7,8 +7,8 @@ for simulation kinds), its digest is the job's identity, and identical
 work is never done twice — concurrent duplicates fan in to one
 computation (:mod:`repro.service.queue`), completed results are served
 from a verified LRU disk cache (:mod:`repro.service.store`), and past
-sweep shards bulk-import to pre-warm it.  Long jobs checkpoint per
-accepted iteration and resume bit-identically
+sweep shards bulk-import to pre-warm it.  Long jobs checkpoint after
+accepted iterations and resume bit-identically
 (:mod:`repro.service.runner`).  See ``docs/service.md``.
 """
 

@@ -18,7 +18,8 @@ request digest and takes exactly one of three paths:
 Around paths 1 and 3 the store entry is **pinned**, so LRU eviction can
 never drop a result between its computation and the last waiter's read.
 
-Long ``"perturbed"`` optimizations checkpoint per accepted iteration
+Long optimizations by the descent-walk methods (``"basic"``,
+``"adaptive"``, ``"perturbed"``) checkpoint after accepted iterations
 (:class:`JobCheckpoint` snapshots the walk's state machines — matrix,
 counters, RNG, trisection bookkeeping); a runner killed mid-job resumes
 from the snapshot and finishes **bit-identically** to an uninterrupted
@@ -57,8 +58,9 @@ CHECKPOINTS_DIR = "checkpoints"
 class JobCheckpoint:
     """Atomic snapshot file for one in-flight job.
 
-    :meth:`save` is called once per accepted optimizer iteration with
-    the walk's JSON-plain snapshot
+    :meth:`save` is called after an accepted optimizer iteration, at
+    most once per :data:`~repro.service.requests.CHECKPOINT_INTERVAL_S`,
+    with the walk's JSON-plain snapshot
     (:meth:`repro.core.perturbed.PerturbedWalk.snapshot`); writes go
     through ``tmp + os.replace`` so a kill mid-write leaves the previous
     snapshot intact.  :meth:`clear` removes the file on completion —
@@ -123,8 +125,8 @@ class CoverageService:
         Forwarded to :func:`~repro.exec.executor.resolve_executor` when
         ``executor`` is a backend name.
     checkpoint:
-        Whether leaders checkpoint long optimizations per accepted
-        iteration (on by default; checkpoints live under the store
+        Whether leaders checkpoint long optimizations after accepted
+        iterations (on by default; checkpoints live under the store
         root).
     """
 

@@ -35,7 +35,12 @@ class PerfCounters:
     work is tracked separately: ``batch_calls`` stacked evaluations
     covering ``batch_matrices`` matrices in total (each batched matrix
     costs one stacked solve plus one stacked inversion, but never a
-    per-matrix Python round trip).
+    per-matrix Python round trip).  The sparse path counts its own
+    work: ``sparse_factorizations`` (sparse LU builds),
+    ``incremental_updates`` (low-rank ``(pi, Z)`` updates) and
+    ``incremental_refactorizations`` (tracker resets).  The process
+    backend adds ``dispatch_bytes``/``dispatch_seconds`` for payloads
+    sent and ``result_bytes`` for payloads collected.
 
     ``eq=False``: scope bookkeeping removes a finished scope's counters
     from the active list by identity; value equality would let two
@@ -54,6 +59,7 @@ class PerfCounters:
     incremental_refactorizations: int = 0
     dispatch_bytes: int = 0
     dispatch_seconds: float = 0.0
+    result_bytes: int = 0
 
     def add(self, name: str, amount=1) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -117,7 +123,8 @@ class OptimizerPerf:
     inside a worker — dispatch is paid by the parent, so they show up
     in ambient :func:`perf_scope` counters around a fan-out (and in the
     dispatch benchmark's output), not in the per-run perf attached to
-    each result.
+    each result.  The sparse-path counters carry over from
+    :class:`PerfCounters` unchanged (zero on the dense path).
     """
 
     factorizations: int = 0
@@ -130,6 +137,9 @@ class OptimizerPerf:
     seconds: float = 0.0
     dispatch_bytes: int = 0
     dispatch_seconds: float = 0.0
+    sparse_factorizations: int = 0
+    incremental_updates: int = 0
+    incremental_refactorizations: int = 0
 
     @classmethod
     def from_counters(cls, counters: PerfCounters, **extra):
@@ -142,6 +152,11 @@ class OptimizerPerf:
             batch_matrices=counters.batch_matrices,
             dispatch_bytes=counters.dispatch_bytes,
             dispatch_seconds=counters.dispatch_seconds,
+            sparse_factorizations=counters.sparse_factorizations,
+            incremental_updates=counters.incremental_updates,
+            incremental_refactorizations=(
+                counters.incremental_refactorizations
+            ),
             **extra,
         )
 

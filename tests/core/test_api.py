@@ -208,11 +208,13 @@ class TestRegistry:
             assert spec.summary
 
     def test_direct_entry_points_still_importable(self):
-        from repro.core.adaptive import optimize_adaptive  # noqa: F401
-        from repro.core.descent import optimize_basic  # noqa: F401
         from repro.core.mirror import optimize_mirror  # noqa: F401
         from repro.core.multistart import optimize_multistart  # noqa
-        from repro.core.perturbed import optimize_perturbed  # noqa
+        from repro.core.perturbed import (  # noqa: F401
+            optimize_adaptive,
+            optimize_basic,
+            optimize_perturbed,
+        )
 
 
 class TestPublicApiSnapshot:

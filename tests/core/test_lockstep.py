@@ -259,7 +259,7 @@ class TestLockstepMultistart:
             )
 
     def test_lockstep_requires_default_optimizer(self, cost_both):
-        from repro.core.adaptive import optimize_adaptive
+        from repro.core.perturbed import optimize_adaptive
 
         with pytest.raises(ValueError, match="perturbed"):
             optimize_multistart(

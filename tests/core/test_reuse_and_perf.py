@@ -9,10 +9,16 @@ dropping the dense factorization count per accepted step from 3 to 1.
 import numpy as np
 import pytest
 
-from repro import CostWeights, CoverageCost, paper_topology
-from repro.core.adaptive import AdaptiveOptions, optimize_adaptive
-from repro.core.perturbed import PerturbedOptions, optimize_perturbed
+from repro import CostWeights, CoverageCost, optimize, paper_topology
+from repro.core.perturbed import (
+    AdaptiveOptions,
+    PerturbedOptions,
+    optimize_adaptive,
+    optimize_perturbed,
+)
 from repro.core.state import ChainState
+from repro.topology.library import scalable_topology
+from repro.utils.perf import perf_scope
 
 
 @pytest.fixture
@@ -126,6 +132,29 @@ class TestPerfCounters:
         assert perf is not None
         if perf.accepted_steps:
             assert perf.factorizations_per_accepted_step() == 1.0
+
+    @pytest.mark.parametrize("method", ["basic", "adaptive", "perturbed"])
+    def test_sparse_counters_reach_run_perf(self, method):
+        """A sparse run's per-run perf carries the sparse and
+        incremental linear-algebra counts its perf scope saw."""
+        cost = CoverageCost(
+            scalable_topology("city-grid", 64),
+            CostWeights(alpha=1.0, beta=1.0), linalg="sparse",
+        )
+        kwargs = {"seed": 1, "options": {
+            "max_iterations": 4, "trisection_rounds": 6,
+            "geometric_decades": 4,
+        }}
+        if method == "basic":
+            kwargs = {"options": {"max_iterations": 4, "step_size": 1e-4}}
+        with perf_scope() as counters:
+            result = optimize(cost, method=method, **kwargs)
+        assert counters.sparse_factorizations > 0
+        for name in (
+            "sparse_factorizations", "incremental_updates",
+            "incremental_refactorizations",
+        ):
+            assert getattr(result.perf, name) == getattr(counters, name)
 
 
 class TestBatchFeasibilityMask:

@@ -1,7 +1,9 @@
 """Optimizer state-machine snapshots: kill/resume bit-identity.
 
 The service's job checkpoints (:mod:`repro.service`) serialize a
-:class:`~repro.core.perturbed.PerturbedWalk` at an iteration boundary
+:class:`~repro.core.perturbed.PerturbedWalk` — the one descent walk
+behind the basic, adaptive and perturbed methods — at an iteration
+boundary
 and later restore it — possibly in another process — so the contract
 here is strict: a walk resumed from a JSON round-tripped snapshot must
 finish with a trajectory *bit-identical* to the uninterrupted run.
@@ -12,14 +14,16 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.api import optimize
 from repro.core.cost import CostWeights, CoverageCost
 from repro.core.linesearch import TrisectionState, trisection_search
 from repro.core.perturbed import (
     WALK_SNAPSHOT_SCHEMA,
+    AdaptiveOptions,
+    BasicDescentOptions,
     PerturbedOptions,
     PerturbedWalk,
     advance_walk,
-    optimize_perturbed,
 )
 from repro.topology.library import paper_topology
 from repro.utils.rng import (
@@ -40,6 +44,27 @@ OPTIONS = PerturbedOptions(
     geometric_decades=6,
 )
 
+#: Per-method options for the resume tests: every run outlives the kill.
+METHOD_OPTIONS = {
+    "basic": BasicDescentOptions(
+        max_iterations=24, step_size=1e-4, patience=100
+    ),
+    "adaptive": AdaptiveOptions(
+        max_iterations=24, trisection_rounds=8, geometric_decades=6
+    ),
+    "perturbed": OPTIONS,
+}
+
+#: (method, kill_after) pairs; perturbed, the default method, keeps
+#: bare ``kill_after`` ids.
+RESUME_CASES = [
+    pytest.param(method, kill_after,
+                 id=f"{kill_after}" if method == "perturbed"
+                 else f"{method}-{kill_after}")
+    for method in ("perturbed", "basic", "adaptive")
+    for kill_after in (0, 1, 9)
+]
+
 
 class TestGeneratorState:
     def test_round_trip_continues_stream(self):
@@ -59,24 +84,31 @@ class TestGeneratorState:
 
 
 class TestWalkSnapshot:
-    def _run_interrupted(self, cost, kill_after):
+    def _run_interrupted(self, cost, kill_after, options):
         """Run to ``kill_after`` iterations, snapshot, JSON round-trip,
         restore, finish."""
-        walk = PerturbedWalk(cost, None, as_generator(7), OPTIONS)
+        walk = PerturbedWalk(cost, None, as_generator(7), options)
         while walk.iteration < kill_after and advance_walk(
-            cost, walk, OPTIONS
+            cost, walk, options
         ):
             pass
+        assert not walk.finished
         snapshot = json.loads(json.dumps(walk.snapshot()))
-        resumed = PerturbedWalk.restore(cost, snapshot, OPTIONS)
-        while advance_walk(cost, resumed, OPTIONS):
+        resumed = PerturbedWalk.restore(cost, snapshot, options)
+        while advance_walk(cost, resumed, options):
             pass
         return resumed.result()
 
-    @pytest.mark.parametrize("kill_after", [0, 1, 9])
-    def test_resume_bit_identical(self, cost, kill_after):
-        uninterrupted = optimize_perturbed(cost, seed=7, options=OPTIONS)
-        resumed = self._run_interrupted(cost, kill_after)
+    @pytest.mark.parametrize("method,kill_after", RESUME_CASES)
+    def test_resume_bit_identical(self, cost, method, kill_after):
+        options = METHOD_OPTIONS[method]
+        seed = {} if method == "basic" else {"seed": 7}
+        uninterrupted = optimize(
+            cost, method=method, options=options, **seed
+        )
+        resumed = self._run_interrupted(cost, kill_after, options)
+        assert resumed.u_eps == uninterrupted.u_eps
+        assert resumed.matrix.tobytes() == uninterrupted.matrix.tobytes()
         assert resumed.best_u_eps == uninterrupted.best_u_eps
         assert resumed.best_matrix.tobytes() == \
             uninterrupted.best_matrix.tobytes()

@@ -9,10 +9,12 @@ executes them, and whatever the execution order.
 import numpy as np
 import pytest
 
+import repro
 from repro import CostWeights, CoverageCost, using_executor
 from repro.core.multistart import optimize_multistart
 from repro.core.perturbed import PerturbedOptions
 from repro.experiments.runner import run_many, simulate_repeatedly
+from repro.utils import perf
 
 ITERATIONS = 12
 
@@ -95,6 +97,24 @@ class TestMultistartBackendInvariance:
                 cost, random_starts=1, seed=2, options=options
             )
         assert ambient.best.best_u_eps == explicit.best.best_u_eps
+
+    def test_process_backend_under_perf_scope(self, cost):
+        """An ambient perf scope around a process fan-out counts the
+        collected result payloads (it used to raise AttributeError)."""
+        options = {"max_iterations": 4, "record_history": False}
+        serial = repro.optimize(
+            cost, method="multistart", seed=2, options=options,
+            random_starts=1, execution="serial",
+        )
+        with perf.perf_scope() as counters:
+            fanned = repro.optimize(
+                cost, method="multistart", seed=2, options=options,
+                random_starts=1, execution="process",
+            )
+        assert counters.result_bytes > 0
+        assert counters.dispatch_bytes > 0
+        for a, b in zip(serial.runs, fanned.runs):
+            assert a.best_u_eps == b.best_u_eps
 
 
 class TestSimulateRepeatedlyBackendInvariance:

@@ -86,6 +86,24 @@ class TestCanonicalization:
         d = optimize_request(topology, method="multistart", starts=3)
         assert request_digest(c) != request_digest(d)
 
+    @pytest.mark.parametrize("method,digest", [
+        ("basic", "2b123d1fdeefd054c16162b709c568c8"
+                  "b9a7e1ec0d02d62b0b140bc27756f02c"),
+        ("adaptive", "bfe445185bca0dce80dd2403916993453d"
+                     "8118e8b83b4d54826c69b1db43492a"),
+        ("mirror", "7f75fce0d945afdcfd632e0788e415e8b0"
+                   "7a2f5db24b6eb25e391c72798d063a"),
+        ("perturbed", "7b16e4e23c63d5b103435dd36aec63146f"
+                      "15db021c22f8b8f9bbed596c43ef91"),
+        ("multistart", "594e945f91b8024b8af74527692776cbd7"
+                       "b64dc89f250ca0131d693f2377d692"),
+    ])
+    def test_default_request_digest_pinned(self, topology, method, digest):
+        """Options field sets are part of the identity: a new or renamed
+        field would re-key every cached result of that method."""
+        request = optimize_request(topology, method=method, seed=3)
+        assert request_digest(request) == digest
+
 
 class TestRoundTrip:
     def test_optimize_round_trip(self, topology):

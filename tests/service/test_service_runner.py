@@ -130,23 +130,30 @@ class TestFanIn:
 
 
 class TestCheckpointResume:
+    # ids follow the paper's variant numbering (V1 basic, V2+V3
+    # adaptive, V4 perturbed).
+    @pytest.mark.parametrize("method,method_options", [
+        ("basic", {"step_size": 1e-4, "patience": 100}),
+        ("adaptive", {"trisection_rounds": 8}),
+        ("perturbed", {"trisection_rounds": 8}),
+    ], ids=["V1", "V3", "V4"])
     def test_killed_run_resumes_bit_identically(
-        self, topology, service
+        self, topology, service, method, method_options
     ):
         """Drive a walk partway with checkpoints (the 'killed runner'),
         then submit through the service: it must resume from the
         snapshot and deliver the uninterrupted run's exact payload."""
         request = optimize_request(
-            topology, seed=11,
-            options={"max_iterations": 25, "trisection_rounds": 8},
+            topology, method=method, seed=11,
+            options=dict(method_options, max_iterations=25),
         )
         reference = execute_request(request)
 
         checkpoint = service.checkpoint_for(request)
         cost = build_cost(request)
         options = coerce_options(
-            OPTIMIZER_REGISTRY["perturbed"].options_class,
-            request.params["options"], method="perturbed",
+            OPTIMIZER_REGISTRY[method].options_class,
+            request.params["options"], method=method,
         )
         walk = PerturbedWalk(cost, None, as_generator(11), options)
         accepted = 0
@@ -162,6 +169,31 @@ class TestCheckpointResume:
         payload = service.run(request)
         assert payload == reference
         assert not checkpoint.exists(), "checkpoint must clear on finish"
+
+    def test_saves_after_accepted_steps_at_most_per_interval(
+        self, topology, tmp_path, monkeypatch
+    ):
+        import repro.service.requests as requests_module
+
+        saves = []
+
+        class Recording(JobCheckpoint):
+            def save(self, snapshot):
+                saves.append(snapshot["accepted_steps"])
+                super().save(snapshot)
+
+        request = optimize_request(
+            topology, method="basic",
+            options={"max_iterations": 5, "step_size": 1e-4},
+        )
+        reference = execute_request(request)
+        checkpoint = Recording(tmp_path / "job.json")
+        assert execute_request(request, checkpoint=checkpoint) == reference
+        assert saves == []  # a sub-second job never checkpoints
+        monkeypatch.setattr(requests_module, "CHECKPOINT_INTERVAL_S", 0.0)
+        assert execute_request(request, checkpoint=checkpoint) == reference
+        assert saves == [1, 2, 3, 4, 5]
+        assert not checkpoint.exists()
 
     def test_checkpoint_files_are_atomic_and_recoverable(self, tmp_path):
         checkpoint = JobCheckpoint(tmp_path / "job.json")
