@@ -1,21 +1,23 @@
 #!/usr/bin/env python
-"""Benchmark the vectorized simulation engine against the loop reference.
+"""Benchmark the simulation engine against its per-step oracle.
 
-Two claims are measured (see ``docs/performance.md``):
+The oracle is ``tests/oracles/simulation.py::simulate_schedule``, one
+Python iteration per transition.  Two claims are measured (see
+``docs/performance.md``):
 
-1. **Equivalence** — for every benchmarked configuration the two engines
-   return bit-identical :class:`SimulationResult` objects (same sampled
-   path, every metric equal), which trivially satisfies the documented
-   1e-12 tolerance.
-2. **Speedup** — the vectorized engine (pre-sampled paths + array
-   interval arithmetic) beats the per-step loop by a growing margin as
-   the transition count rises; the acceptance floor is 5x at 64 PoIs
-   and 100k transitions.
+1. **Equivalence** — for every benchmarked configuration the engine and
+   the oracle return bit-identical :class:`SimulationResult` objects
+   (same sampled path, every metric equal).
+2. **Speedup** — the engine (pre-sampled paths + array interval
+   arithmetic) beats the per-step oracle by a growing margin as the
+   transition count rises; the acceptance floor is 5x at 64 PoIs and
+   100k transitions.
 
-Results are written to ``benchmarks/results/BENCH_sim.json``.  Chord
-tables are warmed before timing so both engines are measured on the
-per-transition work, not the shared O(M^3) geometry precompute (which
-is cached on the topology and paid once per process).
+Results are written to ``benchmarks/results/BENCH_sim.json`` (the
+oracle's timings under ``loop_seconds``).  Chord tables are warmed
+before timing so both are measured on the per-transition work, not the
+shared O(M^3) geometry precompute (which is cached on the topology and
+paid once per process).
 
 Usage::
 
@@ -38,8 +40,9 @@ from dataclasses import fields
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
-if str(REPO / "src") not in sys.path:
-    sys.path.insert(0, str(REPO / "src"))
+for entry in (REPO / "src", REPO):  # the package, and tests.oracles
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
 
 import numpy as np  # noqa: E402
 
@@ -48,6 +51,7 @@ from repro.simulation.engine import (  # noqa: E402
     simulate_schedule,
 )
 from repro.topology.random_gen import random_topology  # noqa: E402
+from tests.oracles import simulation as oracle  # noqa: E402
 
 DEFAULT_OUT = REPO / "benchmarks" / "results" / "BENCH_sim.json"
 
@@ -68,7 +72,8 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _results_identical(loop, vectorized) -> list:
-    """Names of SimulationResult fields that differ between engines."""
+    """Names of SimulationResult fields the engine and the oracle
+    disagree on."""
     mismatched = []
     for field in fields(loop):
         expected = getattr(loop, field.name)
@@ -89,9 +94,9 @@ def _results_identical(loop, vectorized) -> list:
 
 def bench_cell(size: int, transitions: int, seed: int, warmup: int,
                repeats: int = 3):
-    """Time both engines on one (size, transitions) configuration.
+    """Time the oracle and the engine on one (size, transitions) cell.
 
-    Each engine runs ``repeats`` times and reports the fastest wall
+    Each runs ``repeats`` times and reports the fastest wall
     clock (steady state: the first run additionally pays allocator and
     page-fault costs that are not per-simulation work).
     """
@@ -105,23 +110,29 @@ def bench_cell(size: int, transitions: int, seed: int, warmup: int,
 
     timings = {}
     results = {}
-    for engine in ("loop", "vectorized"):
-        options = SimulationOptions(
-            warmup=warmup, record_path=True, engine=engine
-        )
+    runs = {
+        "loop": lambda: oracle.simulate_schedule(
+            topology, matrix, transitions, seed=seed, warmup=warmup,
+            record_path=True,
+        ),
+        "vectorized": lambda: simulate_schedule(
+            topology, matrix, transitions, seed=seed,
+            options=SimulationOptions(warmup=warmup, record_path=True),
+        ),
+    }
+    for name, run in runs.items():
         best = np.inf
         for _ in range(repeats):
             started = time.perf_counter()
-            results[engine] = simulate_schedule(
-                topology, matrix, transitions, seed=seed, options=options
-            )
+            results[name] = run()
             best = min(best, time.perf_counter() - started)
-        timings[engine] = best
+        timings[name] = best
 
     mismatched = _results_identical(results["loop"], results["vectorized"])
     _check(
         not mismatched,
-        f"{size} PoIs / {transitions} transitions: engines disagree on "
+        f"{size} PoIs / {transitions} transitions: engine and oracle "
+        "disagree on "
         f"{', '.join(mismatched)}",
     )
     speedup = timings["loop"] / timings["vectorized"]
@@ -163,7 +174,7 @@ def main(argv=None) -> int:
                   flush=True)
             cell = bench_cell(size, transitions, args.seed, args.warmup)
             cells.append(cell)
-            print(f"  loop {cell['loop_seconds']:.2f}s, vectorized "
+            print(f"  oracle {cell['loop_seconds']:.2f}s, engine "
                   f"{cell['vectorized_seconds']:.2f}s -> "
                   f"{cell['speedup']:.1f}x, bit-identical")
         if not args.check_only:
@@ -190,9 +201,10 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count(),
         },
         "note": (
-            "speedup = loop_seconds / vectorized_seconds per cell; both "
-            "engines produce bit-identical SimulationResult values, "
-            "checked field-by-field each run"
+            "speedup = loop_seconds / vectorized_seconds per cell, "
+            "loop_seconds timing the per-step oracle in tests/oracles; "
+            "engine and oracle produce bit-identical SimulationResult "
+            "values, checked field-by-field each run"
         ),
         "cells": cells,
     }

@@ -1,21 +1,23 @@
 #!/usr/bin/env python
-"""Benchmark the vectorized team engine against the per-event loop.
+"""Benchmark the team engine against its per-event oracle.
 
-Two claims are measured (see ``docs/performance.md`` and
-``docs/simulation.md``):
+The oracle is ``tests/oracles/simulation.py::simulate_team``, one Python
+iteration per transition.  Two claims are measured (see
+``docs/performance.md`` and ``docs/simulation.md``):
 
-1. **Equivalence** — for every benchmarked configuration the two engines
-   return bit-identical :class:`TeamSimulationResult` objects (every
-   field equal, nan-positions included), and the result passes the
-   internal union cross-checks of
+1. **Equivalence** — for every benchmarked configuration the engine and
+   the oracle return bit-identical :class:`TeamSimulationResult` objects
+   (every field equal, nan-positions included), and the result passes
+   the internal union cross-checks of
    :func:`repro.multisensor.analytic.check_team_result`.
-2. **Speedup** — the vectorized engine (per-sensor pre-sampled paths +
-   shared interval kernels) beats the per-event loop; the acceptance
-   floor is 5x on every cell with K >= 4 sensors.
+2. **Speedup** — the engine (per-sensor pre-sampled paths + shared
+   interval kernels) beats the per-event oracle; the acceptance floor is
+   5x on every cell with K >= 4 sensors.
 
-Results are written to ``benchmarks/results/BENCH_team.json``.  Chord
-tables are warmed before timing so both engines are measured on the
-per-transition work, not the shared O(M^3) geometry precompute.
+Results are written to ``benchmarks/results/BENCH_team.json`` (the
+oracle's timings under ``loop_seconds``).  Chord tables are warmed
+before timing so both are measured on the per-transition work, not the
+shared O(M^3) geometry precompute.
 
 Usage::
 
@@ -38,13 +40,15 @@ from dataclasses import fields
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
-if str(REPO / "src") not in sys.path:
-    sys.path.insert(0, str(REPO / "src"))
+for entry in (REPO / "src", REPO):  # the package, and tests.oracles
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
 
 import numpy as np  # noqa: E402
 
 from repro.multisensor import check_team_result, simulate_team  # noqa: E402
 from repro.topology.random_gen import random_topology  # noqa: E402
+from tests.oracles import simulation as oracle  # noqa: E402
 
 DEFAULT_OUT = REPO / "benchmarks" / "results" / "BENCH_team.json"
 
@@ -69,7 +73,8 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _results_identical(loop, vectorized) -> list:
-    """Names of TeamSimulationResult fields that differ between engines."""
+    """Names of TeamSimulationResult fields the engine and the oracle
+    disagree on."""
     mismatched = []
     for field in fields(loop):
         expected = np.asarray(getattr(loop, field.name))
@@ -84,9 +89,9 @@ def _results_identical(loop, vectorized) -> list:
 
 def bench_cell(size: int, sensors: int, horizon: float, seed: int,
                repeats: int = 3):
-    """Time both engines on one (size, K, horizon) configuration.
+    """Time the oracle and the engine on one (size, K, horizon) cell.
 
-    Each engine runs ``repeats`` times and reports the fastest wall
+    Each runs ``repeats`` times and reports the fastest wall
     clock (steady state: the first run additionally pays allocator and
     page-fault costs that are not per-simulation work).
     """
@@ -101,20 +106,20 @@ def bench_cell(size: int, sensors: int, horizon: float, seed: int,
 
     timings = {}
     results = {}
-    for engine in ("loop", "vectorized"):
+    for name, simulate in (
+        ("loop", oracle.simulate_team), ("vectorized", simulate_team)
+    ):
         best = np.inf
         for _ in range(repeats):
             started = time.perf_counter()
-            results[engine] = simulate_team(
-                topology, matrices, horizon, seed=seed, engine=engine
-            )
+            results[name] = simulate(topology, matrices, horizon, seed=seed)
             best = min(best, time.perf_counter() - started)
-        timings[engine] = best
+        timings[name] = best
 
     mismatched = _results_identical(results["loop"], results["vectorized"])
     _check(
         not mismatched,
-        f"{size} PoIs / K={sensors}: engines disagree on "
+        f"{size} PoIs / K={sensors}: engine and oracle disagree on "
         f"{', '.join(mismatched)}",
     )
     try:
@@ -159,7 +164,7 @@ def main(argv=None) -> int:
                   flush=True)
             cell = bench_cell(size, sensors, horizon, args.seed)
             cells.append(cell)
-            print(f"  loop {cell['loop_seconds']:.2f}s, vectorized "
+            print(f"  oracle {cell['loop_seconds']:.2f}s, engine "
                   f"{cell['vectorized_seconds']:.2f}s -> "
                   f"{cell['speedup']:.1f}x, bit-identical")
         if not args.check_only:
@@ -188,10 +193,11 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count(),
         },
         "note": (
-            "speedup = loop_seconds / vectorized_seconds per cell; both "
-            "engines produce bit-identical TeamSimulationResult values, "
-            "checked field-by-field each run; cells with K >= 4 enforce "
-            "the 5x acceptance floor"
+            "speedup = loop_seconds / vectorized_seconds per cell, "
+            "loop_seconds timing the per-event oracle in tests/oracles; "
+            "engine and oracle produce bit-identical "
+            "TeamSimulationResult values, checked field-by-field each "
+            "run; cells with K >= 4 enforce the 5x acceptance floor"
         ),
         "cells": cells,
     }

@@ -15,8 +15,8 @@ All sensors run the same optimized single-sensor schedule and stay
 completely uncoordinated — each remains the paper's constant-time coin
 toss, so the scaling costs no scheduling complexity at all.
 
-Team runs use the vectorized engine (the default; see
-docs/simulation.md) and fan independent replications out over the
+Team runs use the vectorized team engine (see docs/simulation.md) and
+fan independent replications out over the
 `repro.exec` execution layer, so each table row is a mean over several
 simulated missions rather than a single noisy run.
 
@@ -56,10 +56,7 @@ def main() -> None:
     ).best_matrix
 
     horizon = 150_000.0
-    solo = simulate_team(
-        topology, [matrix], horizon=horizon, seed=1,
-        engine="vectorized",   # the default, spelled out for the demo
-    )
+    solo = simulate_team(topology, [matrix], horizon=horizon, seed=1)
     print(f"Single sensor (simulated {horizon / 3600:.0f} h):")
     print(f"  coverage shares: {solo.coverage_shares}")
     print(f"  mean exposure gaps (s): {solo.exposure_mean}\n")

@@ -31,8 +31,6 @@ from typing import List, Optional
 
 import numpy as np
 
-import inspect
-
 import repro.experiments as experiments
 from repro import persist
 from repro.analysis.pareto import pareto_filter, tradeoff_curve
@@ -40,11 +38,7 @@ from repro.exec import BACKENDS, TRANSPORTS, using_executor
 from repro.core.api import OPTIMIZER_REGISTRY, optimize
 from repro.core.cost import LINALG_MODES, CostWeights, CoverageCost
 from repro.core.registry import TERM_REGISTRY, normalize_extra_terms
-from repro.simulation.engine import (
-    ENGINES,
-    SimulationOptions,
-    simulate_schedule,
-)
+from repro.simulation.engine import SimulationOptions, simulate_schedule
 from repro.topology.grid import grid_topology, line_topology
 from repro.topology.library import (
     PAPER_TOPOLOGY_IDS,
@@ -289,7 +283,7 @@ def _cmd_simulate(args) -> int:
         topology, matrix,
         transitions=args.transitions,
         seed=args.seed,
-        options=SimulationOptions(warmup=args.warmup, engine=args.engine),
+        options=SimulationOptions(warmup=args.warmup),
     )
     np.set_printoptions(precision=4, suppress=True)
     print(result.summary())
@@ -307,12 +301,6 @@ def _cmd_experiment(args) -> int:
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.engine is not None:
-        if "engine" not in inspect.signature(function).parameters:
-            raise SystemExit(
-                f"experiment {args.name!r} does not take --engine"
-            )
-        kwargs["engine"] = args.engine
     result = function(**kwargs)
     print(result.render())
     return 0
@@ -330,12 +318,11 @@ def _cmd_team(args) -> int:
     topology = _load_topology(args)
     matrix = persist.load_matrix(args.matrix)
     solo = simulate_team(
-        topology, [matrix], horizon=args.horizon, seed=args.seed,
-        engine=args.engine,
+        topology, [matrix], horizon=args.horizon, seed=args.seed
     )
     team = simulate_team(
         topology, [matrix] * args.sensors, horizon=args.horizon,
-        seed=args.seed + 1, engine=args.engine,
+        seed=args.seed + 1,
     )
     predicted_cov = team_coverage_approximation(
         np.tile(solo.coverage_shares, (args.sensors, 1))
@@ -610,13 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--transitions", type=int, default=50_000)
     p_sim.add_argument("--warmup", type=int, default=1_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--engine", choices=ENGINES, default="vectorized",
-        help=(
-            "simulation implementation; both give bit-identical results "
-            "(default: vectorized)"
-        ),
-    )
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_exp = sub.add_parser(
@@ -624,13 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help=(
-            "simulation engine for simulation-backed experiments "
-            "(table4, figure6-8, extension-team)"
-        ),
-    )
     _add_parallel_flags(p_exp)
     p_exp.set_defaults(handler=_cmd_experiment)
 
@@ -643,13 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_team.add_argument("--sensors", type=int, default=3)
     p_team.add_argument("--horizon", type=float, default=100_000.0)
     p_team.add_argument("--seed", type=int, default=0)
-    p_team.add_argument(
-        "--engine", choices=ENGINES, default="vectorized",
-        help=(
-            "team simulation implementation; both give bit-identical "
-            "results (default: vectorized)"
-        ),
-    )
     p_team.set_defaults(handler=_cmd_team)
 
     p_sw = sub.add_parser(
@@ -719,8 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_job.add_argument(
         "--request", default=None, metavar="FILE",
         help=(
-            "request JSON file (schema repro/service-request/v1); "
-            "when given, the optimize flags below are ignored"
+            "request JSON file (schema repro/service-request/v2; a v1 "
+            "file is rejected with a schema error); when given, the "
+            "optimize flags below are ignored"
         ),
     )
     p_job.add_argument("--alpha", type=float, default=1.0)

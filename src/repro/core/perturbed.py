@@ -102,19 +102,13 @@ class BasicDescentOptions(OptimizerOptions):
 
 @dataclass(frozen=True)
 class AdaptiveOptions(SearchOptions):
-    """Knobs of the adaptive algorithm (V2 + V3).
-
-    ``reuse_linesearch_state`` hands the line search's winning probe's
-    ``(pi, Z)`` to the accepted iterate instead of refactorizing from
-    scratch; disable it only to cross-check the two paths.
-    """
+    """Knobs of the adaptive algorithm (V2 + V3)."""
 
     STEP_POLICY: ClassVar[str] = "trisection"
     PERTURBATION: ClassVar[str] = "none"
     ACCEPTANCE: ClassVar[str] = "greedy"
 
     max_iterations: int = 500
-    reuse_linesearch_state: bool = True
 
 
 @dataclass(frozen=True)
@@ -127,10 +121,7 @@ class PerturbedOptions(SearchOptions):
     ``relative_noise=False`` for absolute noise.  ``cooling_k`` is the
     paper's constant ``k`` (its experiments use ``k = 10000``).
     ``stall_limit`` stops a run after that many iterations without
-    improving the best cost.  ``reuse_linesearch_state`` hands the line
-    search's winning probe's ``(pi, Z)`` to the accepted candidate
-    instead of refactorizing from scratch (see ``docs/performance.md``);
-    disable it only to cross-check the two paths.
+    improving the best cost.
     """
 
     STEP_POLICY: ClassVar[str] = "trisection"
@@ -142,7 +133,6 @@ class PerturbedOptions(SearchOptions):
     relative_noise: bool = True
     cooling_k: float = 10_000.0
     stall_limit: int = 120
-    reuse_linesearch_state: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -285,7 +275,7 @@ class PerturbedWalk:
         optimum stop (greedy) or a random fallback step (annealed).
 
         Returns the fallback step when it needs a probe evaluation from
-        the driver (reuse enabled), else ``None``.
+        the driver, else ``None``.
         """
         options = self.options
         self._step = 0.0
@@ -304,28 +294,28 @@ class PerturbedWalk:
             # Paper: "if dt* = 0 then dt = rand" within the feasible
             # range.
             self._step = self.rng.uniform(0.0, self._bound)
-            if self._step > 0.0 and options.reuse_linesearch_state:
+            if self._step > 0.0:
                 return self._step
         return None
 
     def _candidate(self, ray, probe):
         """The candidate state and breakdown at ``P + step * V``.
 
-        With ``reuse`` enabled, line-search winners come back from the
+        Line-search winners come back from the
         :class:`~repro.core.cost.RayBatch` with their already-computed
         ``(pi, Z)``, and random fallback steps are evaluated through the
         same batched path — either way no scalar refactorization
         happens.  ``probe`` is the driver's ``(value, state_or_None)``
         evaluation of the fallback step :meth:`choose_step` asked for
-        (the lockstep driver fuses those across trajectories).
-        Otherwise the state is built
-        from scratch; a constant step (no ``ray``) is halved until that
-        build succeeds.  Returns ``(None, None)`` for infeasible
+        (the lockstep driver fuses those across trajectories).  A
+        constant step (no ``ray``) is built from scratch and halved until
+        that build succeeds; a winner the ray holds no state for gets one
+        scratch build.  Returns ``(None, None)`` for infeasible
         candidates.
         """
         cost, base = self.cost, self.state.p
         state = None
-        if ray is not None and self.options.reuse_linesearch_state:
+        if ray is not None:
             if self._from_search:
                 state = ray.state_at(self._step)
             else:
@@ -435,7 +425,7 @@ class PerturbedWalk:
         (:func:`~repro.utils.rng.generator_state`); :meth:`restore`
         rebuilds derived state — ``(pi, Z)`` factorizations and cost
         breakdowns — from scratch, which on the dense reference path is
-        bit-identical to the states the reuse path carried (the
+        bit-identical to the line-search states the walk carried (the
         invariant ``tests/core/test_reuse_and_perf.py`` pins), so a
         restored walk continues the trajectory bit for bit.
         """

@@ -143,16 +143,13 @@ def extension_team(
     horizon: Optional[float] = None,
     iterations: Optional[int] = None,
     seed: int = 0,
-    engine: Optional[str] = None,
 ) -> TableResult:
     """E3: sensor teams — measured vs. predicted scaling.
 
     Optimizes one single-sensor schedule, then simulates homogeneous
     teams of each size and compares the measured union coverage and mean
     exposure gap against the independence approximations of
-    :mod:`repro.multisensor.analytic`.  ``engine`` picks the team
-    simulation implementation (``"vectorized"``/``"loop"``; ``None``
-    uses the default) — both give bit-identical results.
+    :mod:`repro.multisensor.analytic`.
     """
     import numpy as np
 
@@ -177,17 +174,13 @@ def extension_team(
         ),
     ).best_matrix
 
-    if engine is None:
-        engine = "vectorized"
     solo = simulate_team(
-        topology, [matrix], horizon=horizon, seed=seed + 1,
-        engine=engine,
+        topology, [matrix], horizon=horizon, seed=seed + 1
     )
     rows = []
     for size in team_sizes:
         team = simulate_team(
-            topology, [matrix] * size, horizon=horizon, seed=seed + 2,
-            engine=engine,
+            topology, [matrix] * size, horizon=horizon, seed=seed + 2
         )
         predicted_cov = team_coverage_approximation(
             np.tile(solo.coverage_shares, (size, 1))

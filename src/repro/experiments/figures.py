@@ -311,7 +311,6 @@ def _trajectory_figure(
     checkpoints: Optional[int],
     seed: int,
     include_cost: bool,
-    engine: Optional[str] = None,
 ) -> FigureResult:
     """Shared engine of Figs. 6-8: simulate matrices along a trajectory."""
     scale = current_scale()
@@ -342,7 +341,7 @@ def _trajectory_figure(
         computed_u.append(breakdown.u)
         simulations = simulate_repeatedly(
             topology, matrix, transitions, repetitions,
-            seed=seed + iteration, engine=engine,
+            seed=seed + iteration,
         )
         band_dc = metric_band([s.delta_c for s in simulations])
         band_e = metric_band([s.e_bar_transitions for s in simulations])
@@ -397,13 +396,12 @@ def figure6(
     repetitions: Optional[int] = None,
     checkpoints: Optional[int] = None,
     seed: int = 0,
-    engine: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 6: simulated vs computed dC and E (alpha=1, beta=0, Top. 2)."""
     return _trajectory_figure(
         "Figure 6", topology or paper_topology(2), 1.0, 0.0,
         iterations, step, transitions, repetitions, checkpoints, seed,
-        include_cost=False, engine=engine,
+        include_cost=False,
     )
 
 
@@ -415,13 +413,12 @@ def figure7(
     repetitions: Optional[int] = None,
     checkpoints: Optional[int] = None,
     seed: int = 0,
-    engine: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 7: simulated vs computed dC and E (alpha=1, beta=0, Top. 4)."""
     return _trajectory_figure(
         "Figure 7", topology or paper_topology(4), 1.0, 0.0,
         iterations, step, transitions, repetitions, checkpoints, seed,
-        include_cost=False, engine=engine,
+        include_cost=False,
     )
 
 
@@ -433,11 +430,10 @@ def figure8(
     repetitions: Optional[int] = None,
     checkpoints: Optional[int] = None,
     seed: int = 0,
-    engine: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 8: dC, E, and U (alpha=1, beta=1e-4, Topology 1)."""
     return _trajectory_figure(
         "Figure 8", topology or paper_topology(1), 1.0, 1e-4,
         iterations, step, transitions, repetitions, checkpoints, seed,
-        include_cost=True, engine=engine,
+        include_cost=True,
     )

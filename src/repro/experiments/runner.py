@@ -155,13 +155,13 @@ class SimulationBand:
 
 def _simulate_one(task):
     """One ``simulate_repeatedly`` task (module-level for pickling)."""
-    topology, matrix, transitions, warmup, engine, rng = task
+    topology, matrix, transitions, warmup, rng = task
     return simulate_schedule(
         topology,
         matrix,
         transitions=transitions,
         seed=rng,
-        options=SimulationOptions(warmup=warmup, engine=engine),
+        options=SimulationOptions(warmup=warmup),
     )
 
 
@@ -173,27 +173,21 @@ def simulate_repeatedly(
     seed: int = 0,
     warmup: Optional[int] = None,
     executor=None,
-    engine: Optional[str] = None,
     transport=None,
 ):
     """Simulate ``matrix`` several times; return the per-run results.
 
-    ``engine`` picks the simulation implementation (``"vectorized"`` /
-    ``"loop"``; ``None`` uses the default).  Both give bit-identical
-    results — the knob exists for benchmarking and validation.
     ``transport`` selects the process backend's payload transport when
     ``executor`` names a backend (see :mod:`repro.exec.shm`).
     """
     if warmup is None:
         warmup = max(transitions // 10, 100)
-    if engine is None:
-        engine = SimulationOptions().engine
     # Warm the chord-table cache before the tasks are built: every task
     # (and every pickled copy shipped to process workers) then reuses the
     # one precomputed geometry instead of redoing the O(M^3) intersections.
     topology.chord_table()
     tasks = [
-        (topology, matrix, transitions, warmup, engine, rng)
+        (topology, matrix, transitions, warmup, rng)
         for rng in spawn_generators(seed, repetitions)
     ]
     return resolve_executor(executor, transport=transport).map(

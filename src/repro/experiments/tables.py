@@ -252,7 +252,6 @@ def table4(
     repetitions: Optional[int] = None,
     seed: int = 0,
     executor=None,
-    engine: Optional[str] = None,
 ) -> TableResult:
     """Table IV: realized ``Delta C`` / ``E-bar`` from actual simulations.
 
@@ -280,7 +279,6 @@ def table4(
             repetitions=repetitions,
             seed=seed + 13,
             executor=executor,
-            engine=engine,
         )
         measured_dc = metric_band([s.delta_c for s in simulations])
         measured_e = metric_band(

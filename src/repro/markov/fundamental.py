@@ -33,17 +33,16 @@ class CoreFactorization:
     of one ``solve`` plus one ``inv`` per iterate with a single dense
     decomposition.
 
-    Falls back to caching the core and re-solving via
-    ``numpy.linalg.solve`` when scipy is unavailable.
+    Falls back to re-solving via ``numpy.linalg.solve`` when scipy is
+    unavailable.
     """
 
     def __init__(self, core: np.ndarray) -> None:
-        self._core = None
+        self._core = core
         if _lu_factor is not None:
             self._lu = _lu_factor(core)
         else:  # pragma: no cover - scipy is a declared dependency
             self._lu = None
-            self._core = core
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(I - P + W) x = rhs`` using the cached factors."""
@@ -64,17 +63,14 @@ class CoreFactorization:
         reference path.  Callers that only need ``Z @ v`` / ``v^T Z``
         should use targeted :meth:`solve` / :meth:`solve_transpose`.
 
-        Returned C-contiguous: ``lu_solve`` hands back a Fortran-ordered
-        array, and BLAS sums in a different order over F- vs C-layout
-        operands, which would make downstream gradients ulp-different
-        from ones computed against the batched evaluator's C-ordered
-        ``Z`` (breaking bit-reproducible line-search state reuse).
+        Computed by ``numpy.linalg.inv``, the routine the batched
+        evaluator (:meth:`repro.core.cost.CoverageCost.batch_evaluate`)
+        applies to a stack of cores, so a state built from scratch
+        carries bit for bit the ``Z`` of the same matrix handed back by
+        the line search.  (The LU factors' ``lu_solve`` against the
+        identity differs from it in the last bits on some matrices.)
         """
-        size = (
-            self._lu[0].shape[0] if self._lu is not None
-            else self._core.shape[0]
-        )
-        return np.ascontiguousarray(self.solve(np.eye(size)))
+        return np.linalg.inv(self._core)
 
     # Historical name, kept for callers predating the sparse path.
     inverse = full_inverse

@@ -12,12 +12,11 @@ in range, so per-PoI coverage is the union of the team's coverage
 intervals and exposure segments are the gaps where *no* sensor is in
 range.
 
-* :mod:`repro.multisensor.engine` — exact team simulation with two
-  bit-identical engines (per-event ``"loop"`` reference and the default
-  pre-sampled ``"vectorized"`` path), plus executor fan-out for
+* :mod:`repro.multisensor.engine` — exact team simulation (input
+  validation and the result type), plus executor fan-out for
   independent replications.
-* :mod:`repro.multisensor.vectorized` — the vectorized engine body,
-  built on the shared interval kernels of
+* :mod:`repro.multisensor.vectorized` — the engine body: pre-sampled
+  paths replayed through the shared interval kernels of
   :mod:`repro.simulation.intervals`.
 * :mod:`repro.multisensor.analytic` — independence approximations for
   team coverage and exposure, with their validity ranges documented and

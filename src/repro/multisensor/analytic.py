@@ -70,7 +70,7 @@ def check_team_result(result, tol: float = 1e-9) -> None:
     """Cross-check a simulated team result for internal consistency.
 
     Verifies the inequalities every exact union measurement must satisfy,
-    independent of which engine produced it:
+    independent of which simulator produced it:
 
     * every coverage fraction (union and per-sensor) lies in ``[0, 1]``;
     * the union covers at least the best individual sensor and at most
@@ -81,9 +81,9 @@ def check_team_result(result, tol: float = 1e-9) -> None:
       zero, and per-sensor transition counts are positive.
 
     Raises ``ValueError`` naming the first violated property.  Used by
-    the equivalence tests and re-run on every ``bench_team.py`` cell, so
-    a kernel regression cannot slip through as two engines agreeing on a
-    wrong answer.
+    the oracle matrix and re-run on every ``bench_team.py`` cell, so a
+    kernel regression cannot slip through as the engine and its oracle
+    agreeing on a wrong answer.
     """
     shares = np.asarray(result.coverage_shares, dtype=float)
     per_sensor = np.atleast_2d(

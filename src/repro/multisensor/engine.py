@@ -10,38 +10,27 @@ Sensors are simulated to a common physical ``horizon`` (seconds), not a
 common transition count: different matrices move at different speeds,
 and the union only makes sense on an aligned clock.
 
-Two interchangeable engines implement the measurement, mirroring the
-single-sensor :class:`~repro.simulation.engine.SimulationOptions`
-convention:
-
-* ``"vectorized"`` (the default) — pre-samples every sensor's path and
-  replays it through the shared array interval kernels
-  (:mod:`repro.multisensor.vectorized`);
-* ``"loop"`` — the per-event reference implementation in this module,
-  one Python iteration per transition and one tuple per interval.
-
-Both consume each sensor's spawned RNG stream identically and compute
-every metric with the same floating-point operations, so for any inputs
-they return **bit-identical** :class:`TeamSimulationResult` values;
-``tests/multisensor/test_engine_equivalence.py`` holds the guarantee in
+:func:`simulate_team` validates its inputs and hands the work to
+:func:`repro.multisensor.vectorized.simulate_team_vectorized`, which
+pre-samples every sensor's path and replays it through the shared array
+interval kernels.  Its results equal the per-event reference simulator
+in ``tests/oracles/simulation.py`` bit for bit;
+``tests/simulation/test_engine_equivalence.py`` holds the guarantee in
 place and ``benchmarks/perf/bench_team.py`` re-checks it on every run.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.exec import resolve_executor
-from repro.simulation.engine import ENGINES
-from repro.simulation.events import IntervalAccumulator
 from repro.topology.model import Topology
-from repro.utils.linalg import cumulative_rows, is_row_stochastic
+from repro.utils.linalg import is_row_stochastic
 from repro.utils.rng import RandomState, spawn_generators
-from repro.utils.validation import check_square
+from repro.utils.validation import check_index, check_square
 
 
 @dataclass(frozen=True)
@@ -99,73 +88,12 @@ class TeamSimulationResult:
         return self.coverage_shares.shape[0]
 
 
-def _sensor_intervals(
-    topology: Topology,
-    matrix: np.ndarray,
-    horizon: float,
-    rng: np.random.Generator,
-    start: Optional[int],
-) -> tuple:
-    """Simulate one sensor; return (per-PoI interval lists, transitions).
-
-    Intervals are clipped to ``[0, horizon]`` and emitted in start order.
-    """
-    size = topology.size
-    cumulative = cumulative_rows(matrix)
-    travel_times = topology.travel_times
-    pauses = topology.pause_times
-
-    table = topology.chord_table()
-    chords = {
-        (origin, destination): table.leg(origin, destination)
-        for origin in range(size)
-        for destination in range(size)
-        if origin != destination
-    }
-
-    intervals: List[List[tuple]] = [[] for _ in range(size)]
-    state = int(rng.integers(size)) if start is None else start
-    clock = 0.0
-    transitions = 0
-    while clock < horizon:
-        origin = state
-        destination = int(
-            np.searchsorted(cumulative[origin], rng.random(), side="right")
-        )
-        duration = travel_times[origin, destination]
-        if origin == destination:
-            intervals[origin].append((clock, clock + duration))
-        else:
-            travel = duration - pauses[destination]
-            arrival = clock + travel
-            for poi, t_in, t_out in chords[origin, destination]:
-                intervals[poi].append(
-                    (clock + t_in * travel, clock + t_out * travel)
-                )
-            intervals[destination].append((arrival, arrival + duration
-                                           - travel))
-        clock += duration
-        state = destination
-        transitions += 1
-    # Clip to the horizon.
-    clipped: List[List[tuple]] = [[] for _ in range(size)]
-    for poi in range(size):
-        for lo, hi in intervals[poi]:
-            if lo >= horizon:
-                continue
-            clipped[poi].append((lo, min(hi, horizon)))
-    return clipped, transitions
-
-
 def simulate_team(
     topology: Topology,
     matrices: Sequence[np.ndarray],
-    horizon: Optional[float] = None,
+    horizon: float,
     seed: RandomState = None,
     starts: Optional[Sequence[int]] = None,
-    engine: str = "vectorized",
-    *,
-    duration: Optional[float] = None,
 ) -> TeamSimulationResult:
     """Simulate a team of sensors for ``horizon`` seconds.
 
@@ -183,35 +111,11 @@ def simulate_team(
     starts:
         Optional per-sensor start PoIs (defaults to independent uniform
         draws, one from each sensor's own stream — see the start-state
-        convention on :class:`TeamSimulationResult`).
-    engine:
-        ``"vectorized"`` (default) or the per-event ``"loop"``
-        reference; both produce bit-identical results.
-    duration:
-        Deprecated spelling of ``horizon`` kept for drifted callers; it
-        warns and will be removed — use ``repro.simulate(topology,
-        matrices, kind="team", horizon=...)``.
+        convention on :class:`TeamSimulationResult`).  Each entry must
+        be a PoI index in ``[0, M)``.
     """
-    if duration is not None:
-        warnings.warn(
-            "simulate_team(duration=...) is deprecated; pass horizon= "
-            "— or use the façade: repro.simulate(topology, matrices, "
-            "kind='team', horizon=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if horizon is None:
-            horizon = duration
-    if horizon is None:
-        raise TypeError(
-            "simulate_team() missing required argument: 'horizon'"
-        )
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
     matrices = [check_square(f"matrices[{k}]", m)
                 for k, m in enumerate(matrices)]
     if not matrices:
@@ -225,24 +129,26 @@ def simulate_team(
             )
         if not is_row_stochastic(matrix):
             raise ValueError(f"matrices[{index}] is not row-stochastic")
-    if starts is not None and len(starts) != len(matrices):
-        raise ValueError(
-            f"starts has length {len(starts)}, expected {len(matrices)}"
-        )
+    if starts is not None:
+        if len(starts) != len(matrices):
+            raise ValueError(
+                f"starts has length {len(starts)}, expected "
+                f"{len(matrices)}"
+            )
+        starts = [
+            check_index(f"starts[{index}]", start, size)
+            for index, start in enumerate(starts)
+        ]
 
     streams = spawn_generators(seed, len(matrices))
-    if engine == "vectorized":
-        from repro.multisensor.vectorized import simulate_team_vectorized
+    # Looked up at call time so wrappers installed on the module (the
+    # end-to-end benchmark's tracer) see every call.
+    from repro.multisensor.vectorized import simulate_team_vectorized
 
-        coverage, per_sensor_shares, exposure_mean, exposure_counts, \
-            transitions = simulate_team_vectorized(
-                topology, matrices, horizon, streams, starts
-            )
-    else:
-        coverage, per_sensor_shares, exposure_mean, exposure_counts, \
-            transitions = _simulate_team_loop(
-                topology, matrices, horizon, streams, starts
-            )
+    coverage, per_sensor_shares, exposure_mean, exposure_counts, \
+        transitions = simulate_team_vectorized(
+            topology, matrices, horizon, streams, starts
+        )
     return TeamSimulationResult(
         sensors=len(matrices),
         horizon=float(horizon),
@@ -254,56 +160,12 @@ def simulate_team(
     )
 
 
-def _simulate_team_loop(
-    topology: Topology,
-    matrices: Sequence[np.ndarray],
-    horizon: float,
-    streams: Sequence[np.random.Generator],
-    starts: Optional[Sequence[int]],
-) -> tuple:
-    """Per-event reference engine: Python loops and interval tuples."""
-    size = topology.size
-    per_sensor_intervals = []
-    transitions = np.zeros(len(matrices), dtype=np.int64)
-    per_sensor_shares = np.zeros((len(matrices), size))
-    for index, (matrix, rng) in enumerate(zip(matrices, streams)):
-        start = None if starts is None else int(starts[index])
-        intervals, count = _sensor_intervals(
-            topology, matrix, horizon, rng, start
-        )
-        per_sensor_intervals.append(intervals)
-        transitions[index] = count
-        for poi in range(size):
-            per_sensor_shares[index, poi] = _union_length(
-                intervals[poi]
-            ) / horizon
-
-    coverage = np.zeros(size)
-    exposure_mean = np.full(size, np.nan)
-    exposure_counts = np.zeros(size, dtype=np.int64)
-    for poi in range(size):
-        merged = sorted(
-            (iv for sensor in per_sensor_intervals for iv in sensor[poi]),
-            key=lambda pair: pair[0],
-        )
-        accumulator = IntervalAccumulator(origin=0.0)
-        for lo, hi in merged:
-            accumulator.add(lo, hi)
-        coverage[poi] = accumulator.covered_time / horizon
-        exposure_counts[poi] = accumulator.gap_count
-        exposure_mean[poi] = accumulator.mean_gap()
-
-    return coverage, per_sensor_shares, exposure_mean, exposure_counts, \
-        transitions
-
-
 def _simulate_team_task(task):
     """One ``simulate_team_repeatedly`` replication (pickles for the
     process backend)."""
-    topology, matrices, horizon, starts, engine, rng = task
+    topology, matrices, horizon, starts, rng = task
     return simulate_team(
-        topology, matrices, horizon, seed=rng, starts=starts,
-        engine=engine,
+        topology, matrices, horizon, seed=rng, starts=starts
     )
 
 
@@ -315,7 +177,6 @@ def simulate_team_repeatedly(
     seed: RandomState = 0,
     starts: Optional[Sequence[int]] = None,
     executor=None,
-    engine: Optional[str] = None,
     transport=None,
 ) -> List[TeamSimulationResult]:
     """Run ``repetitions`` independent team simulations; return them all.
@@ -328,9 +189,6 @@ def simulate_team_repeatedly(
     own pre-spawned child stream, so results are bit-identical on every
     backend and at every worker count.
 
-    ``engine`` picks the team simulation implementation (``"vectorized"``
-    / ``"loop"``; ``None`` uses the default).  Both give bit-identical
-    results — the knob exists for benchmarking and validation.
     ``transport`` selects the process backend's payload transport when
     ``executor`` names a backend (see :mod:`repro.exec.shm`).
     """
@@ -338,8 +196,6 @@ def simulate_team_repeatedly(
         raise ValueError(
             f"repetitions must be >= 1, got {repetitions}"
         )
-    if engine is None:
-        engine = "vectorized"
     # Warm the chord-table cache before the tasks are built: every task
     # (and every pickled copy shipped to process workers) then reuses the
     # one precomputed geometry instead of redoing the O(M^3)
@@ -347,26 +203,9 @@ def simulate_team_repeatedly(
     topology.chord_table()
     matrices = list(matrices)
     tasks = [
-        (topology, matrices, horizon, starts, engine, rng)
+        (topology, matrices, horizon, starts, rng)
         for rng in spawn_generators(seed, repetitions)
     ]
     return resolve_executor(executor, transport=transport).map(
         _simulate_team_task, tasks
     )
-
-
-def _union_length(intervals: Sequence[tuple]) -> float:
-    """Total length of the union of (already generated) intervals."""
-    total = 0.0
-    current_lo = current_hi = None
-    for lo, hi in sorted(intervals, key=lambda pair: pair[0]):
-        if current_hi is None:
-            current_lo, current_hi = lo, hi
-        elif lo <= current_hi:
-            current_hi = max(current_hi, hi)
-        else:
-            total += current_hi - current_lo
-            current_lo, current_hi = lo, hi
-    if current_hi is not None:
-        total += current_hi - current_lo
-    return total

@@ -1,25 +1,22 @@
 """Vectorized team engine: K pre-sampled sensors, shared interval kernels.
 
-Replays the same stochastic process as the per-event reference engine in
-:mod:`repro.multisensor.engine` — and produces **bit-identical**
+Replays the same stochastic process as the per-event reference simulator
+in ``tests/oracles/simulation.py`` — and produces **bit-identical**
 :class:`~repro.multisensor.engine.TeamSimulationResult` values — but in
 whole-path array passes instead of one Python iteration per transition
 and one Python tuple per coverage interval:
 
-1. **Per-sensor pre-sampled paths.**  Each sensor's uniforms are drawn in
-   vectorized chunks from the *same* spawned stream the loop engine hands
-   it, and :func:`repro.simulation.vectorized.presample_horizon_legs`
-   walks them through the row CDFs until the shared physical ``horizon``
-   is reached, reproducing the loop's sequential ``clock += duration``
-   grid bit for bit (chunk carries seed the next ``np.cumsum``).
-2. **Leg gathers.**  Every sensor's coverage intervals — dwells, pass-by
-   chords against the cached
+1. **Per-sensor interval streams.**
+   :func:`repro.simulation.vectorized.horizon_interval_stream` draws
+   each sensor's uniforms in vectorized chunks from the *same* spawned
+   stream the oracle hands it, walks them through the row CDFs until the
+   shared physical ``horizon`` is reached (reproducing the oracle's
+   sequential ``clock += duration`` grid bit for bit), gathers the leg
+   intervals — dwells, pass-by chords against the cached
    :meth:`~repro.topology.model.Topology.chord_table`, destination
-   pauses — come from one
-   :func:`repro.simulation.vectorized.leg_interval_stream` call per
-   sensor and are clipped to ``[0, horizon]`` with the same comparisons
-   the loop applies per interval.
-3. **Shared interval kernels.**  Per-sensor coverage fractions reduce to
+   pauses — and clips them to ``[0, horizon]`` with the same comparisons
+   the oracle applies per interval.
+2. **Shared interval kernels.**  Per-sensor coverage fractions reduce to
    :func:`repro.simulation.intervals.grouped_union_length` per sensor,
    and the team's K-way union — coverage of a PoI by *at least one*
    sensor, exposure gaps where *no* sensor is in range — reduces to one
@@ -29,7 +26,7 @@ and one Python tuple per coverage interval:
 Bit-exactness mirrors the single-sensor engine's argument
 (:mod:`repro.simulation.vectorized`): sequential ``np.cumsum`` clocks,
 identical elementwise interval expressions, and stable sorts that feed
-each kernel the exact sequences the loop engine's accumulators see
+each kernel the exact sequences the oracle's accumulators see
 (sensor-major emission order within equal start times).  Over-drawing a
 sensor's RNG stream past its stopping step is harmless: the surplus
 uniforms are never used and the spawned stream is never consumed again.
@@ -42,12 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.simulation.intervals import grouped_coverage, grouped_union_length
-from repro.simulation.vectorized import (
-    leg_interval_stream,
-    presample_horizon_legs,
-)
+from repro.simulation.vectorized import horizon_interval_stream
 from repro.topology.model import Topology
-from repro.utils.linalg import cumulative_rows
 
 
 def _poi_major_order(poi: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -71,13 +64,12 @@ def simulate_team_vectorized(
     """Vectorized team engine body; called by ``simulate_team``.
 
     Inputs are pre-validated; ``streams`` holds one spawned generator per
-    sensor, positioned exactly where the loop engine's would be.  Returns
+    sensor, positioned exactly where the oracle's would be.  Returns
     the raw field tuple ``(coverage, per_sensor_shares, exposure_mean,
     exposure_counts, transitions)`` for the dispatcher to assemble.
     """
     size = topology.size
     count = len(matrices)
-    travel_times = topology.travel_times
 
     per_sensor_shares = np.zeros((count, size))
     transitions = np.zeros(count, dtype=np.int64)
@@ -85,30 +77,10 @@ def simulate_team_vectorized(
     start_parts = []
     end_parts = []
     for index, (matrix, rng) in enumerate(zip(matrices, streams)):
-        # Same stream consumption as the loop engine: an optional uniform
-        # start draw, then one uniform per transition.
-        if starts is None:
-            start = int(rng.integers(size))
-        else:
-            start = int(starts[index])
-        path, durations, grid = presample_horizon_legs(
-            cumulative_rows(matrix), travel_times, horizon, rng, start
+        start = None if starts is None else int(starts[index])
+        poi, lo, hi, transitions[index] = horizon_interval_stream(
+            topology, matrix, horizon, rng, start
         )
-        origins = path[:-1]
-        dests = path[1:]
-        clock_starts = np.concatenate(([0.0], grid[:-1]))
-        transitions[index] = origins.size
-
-        poi, lo, hi = leg_interval_stream(
-            topology, origins, dests, clock_starts, durations
-        )
-        # Clip to the horizon: same comparisons as the loop engine's
-        # per-interval ``lo >= horizon`` drop and ``min(hi, horizon)``.
-        keep = lo < horizon
-        poi = poi[keep]
-        lo = lo[keep]
-        hi = np.minimum(hi[keep], horizon)
-
         order = _poi_major_order(poi, lo)
         per_sensor_shares[index] = grouped_union_length(
             poi[order], lo[order], hi[order], size
@@ -118,7 +90,7 @@ def simulate_team_vectorized(
         end_parts.append(hi)
 
     # K-way union on the shared clock: concatenate sensor-major (the
-    # order the loop engine builds its per-PoI lists in), then one
+    # order the oracle builds its per-PoI lists in), then one
     # grouped pass computes union coverage and team exposure gaps.
     poi = np.concatenate(poi_parts)
     lo = np.concatenate(start_parts)

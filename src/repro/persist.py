@@ -26,8 +26,10 @@ RESULT_SCHEMA = "repro/result/v1"
 
 #: Service-layer schema tags (:mod:`repro.service`): the canonical job
 #: request and the content-addressed store record wrapping a completed
-#: job's result payload.
-SERVICE_REQUEST_SCHEMA = "repro/service-request/v1"
+#: job's result payload.  The request schema is part of every request
+#: digest; v2 dropped the simulator-selection and line-search-reuse
+#: option fields, so v1 digests are never produced again.
+SERVICE_REQUEST_SCHEMA = "repro/service-request/v2"
 SERVICE_RESULT_SCHEMA = "repro/service-result/v1"
 
 #: Digest algorithm used for content addressing throughout the repo

@@ -49,6 +49,7 @@ from repro.persist import (
 )
 from repro.simulation.api import SIMULATOR_REGISTRY
 from repro.topology.model import Topology
+from repro.utils.validation import check_index
 
 #: Job kinds the service accepts.
 KINDS = ("optimize", "simulate", "team")
@@ -199,16 +200,16 @@ def team_request(
     if not stack:
         raise ValueError("team requests need at least one matrix")
     coerced = coerce_options(TeamOptions, options, method="team")
-    if coerced is None:
-        coerced = TeamOptions()
+    starts = None
+    if coerced is not None and coerced.starts is not None:
+        starts = [
+            check_index(f"starts[{index}]", start, topology.size)
+            for index, start in enumerate(coerced.starts)
+        ]
     params = {
         "horizon": float(horizon),
         "seed": int(seed),
-        "options": {
-            "engine": coerced.engine,
-            "starts": None if coerced.starts is None
-            else list(coerced.starts),
-        },
+        "options": {"starts": starts},
     }
     return JobRequest(
         kind="team", topology=topology, params=params, matrices=stack

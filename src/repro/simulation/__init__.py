@@ -8,11 +8,7 @@ both the paper's transition-count convention and real physical time
 (Section VI-D compares the two).
 """
 
-from repro.simulation.engine import (
-    ENGINES,
-    SimulationOptions,
-    simulate_schedule,
-)
+from repro.simulation.engine import SimulationOptions, simulate_schedule
 from repro.simulation.api import (
     SIMULATOR_REGISTRY,
     SimulatorSpec,
@@ -20,7 +16,6 @@ from repro.simulation.api import (
     simulate,
 )
 from repro.simulation.metrics import SimulationResult
-from repro.simulation.events import ExposureTracker, IntervalAccumulator
 from repro.simulation.intervals import (
     count_caught,
     gap_lengths,
@@ -34,7 +29,6 @@ from repro.simulation.capture import (
 )
 
 __all__ = [
-    "ENGINES",
     "SimulationOptions",
     "SimulationResult",
     "simulate",
@@ -42,8 +36,6 @@ __all__ = [
     "SimulatorSpec",
     "SIMULATOR_REGISTRY",
     "TeamOptions",
-    "ExposureTracker",
-    "IntervalAccumulator",
     "merge_intervals",
     "gap_lengths",
     "count_caught",

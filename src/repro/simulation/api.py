@@ -29,17 +29,13 @@ process backend's payload transport, exactly as on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
 
 from repro.core.options import coerce_options
-from repro.simulation.engine import (
-    ENGINES,
-    SimulationOptions,
-    simulate_schedule,
-)
+from repro.simulation.engine import SimulationOptions, simulate_schedule
 from repro.topology.model import Topology
 
 
@@ -47,21 +43,14 @@ from repro.topology.model import Topology
 class TeamOptions:
     """Knobs of the team simulator (``kind="team"``).
 
-    ``engine`` selects the implementation (``"vectorized"`` or the
-    per-event ``"loop"`` reference — bit-identical); ``starts``
-    optionally fixes each sensor's start PoI (defaults to independent
-    uniform draws from each sensor's own stream — see
+    ``starts`` optionally fixes each sensor's start PoI (defaults to
+    independent uniform draws from each sensor's own stream — see
     :class:`~repro.multisensor.engine.TeamSimulationResult`).
     """
 
-    engine: str = "vectorized"
     starts: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
         if self.starts is not None:
             object.__setattr__(
                 self, "starts", tuple(int(s) for s in self.starts)
@@ -141,32 +130,6 @@ SIMULATOR_REGISTRY: Dict[str, SimulatorSpec] = {
 }
 
 
-def _merge_engine(spec: SimulatorSpec, options, engine: Optional[str]):
-    """Coerce ``options`` and fold the ``engine`` keyword into it."""
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    if engine is not None:
-        explicit = None
-        if isinstance(options, Mapping) and "engine" in options:
-            explicit = options["engine"]
-        elif isinstance(options, spec.options_class):
-            explicit = options.engine
-        if explicit is not None and explicit != engine:
-            raise ValueError(
-                f"conflicting engines: engine={engine!r} but options "
-                f"carry engine={explicit!r}"
-            )
-    coerced = coerce_options(spec.options_class, options,
-                             method=spec.name)
-    if engine is None:
-        return coerced
-    if coerced is None:
-        return spec.options_class(engine=engine)
-    return replace(coerced, engine=engine)
-
-
 def _team_matrices(matrix, sensors: Optional[int]):
     """Expand the façade's ``matrix`` argument into the per-sensor
     list."""
@@ -195,7 +158,6 @@ def simulate(
     horizon: Optional[float] = None,
     seed=None,
     options=None,
-    engine: Optional[str] = None,
     repetitions: Optional[int] = None,
     execution=None,
     transport: Optional[str] = None,
@@ -227,10 +189,6 @@ def simulate(
         :class:`TeamOptions`), or a plain mapping coerced into it
         (unknown keys raise :class:`ValueError` naming them), or
         ``None`` for the kind's defaults.
-    engine:
-        Shorthand for ``options``' engine field — ``"vectorized"`` or
-        ``"loop"`` (bit-identical; the knob exists for benchmarking and
-        validation).  Conflicting explicit settings raise.
     repetitions:
         When given, run that many independent replications through the
         kind's executor-backed fan-out driver and return the list of
@@ -287,8 +245,7 @@ def simulate(
             "repetitions= to fan out"
         )
 
-    no_options = options is None
-    opts = _merge_engine(spec, options, engine)
+    opts = coerce_options(spec.options_class, options, method=spec.name)
 
     if kind == "single":
         if repetitions is None:
@@ -309,11 +266,10 @@ def simulate(
         return driver(
             topology, matrix, transitions, repetitions,
             seed=0 if seed is None else seed,
-            # ``options`` given -> its warmup field governs; engine-only
-            # or bare calls keep the driver's warmup heuristic.
-            warmup=None if no_options else opts.warmup,
+            # ``options`` given -> its warmup field governs; bare calls
+            # keep the driver's warmup heuristic.
+            warmup=None if opts is None else opts.warmup,
             executor=execution,
-            engine=None if opts is None else opts.engine,
             transport=transport,
         )
 
@@ -322,8 +278,7 @@ def simulate(
     opts = opts or TeamOptions()
     if repetitions is None:
         return spec.func(
-            topology, matrices, horizon, seed=seed,
-            starts=opts.starts, engine=opts.engine,
+            topology, matrices, horizon, seed=seed, starts=opts.starts
         )
     driver = spec.repeat_func()
     return driver(
@@ -331,6 +286,5 @@ def simulate(
         seed=0 if seed is None else seed,
         starts=opts.starts,
         executor=execution,
-        engine=opts.engine,
         transport=transport,
     )

@@ -29,12 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.multisensor.engine import _sensor_intervals
 from repro.simulation.intervals import (
     count_caught,
     gap_lengths,
     merge_intervals,
 )
+from repro.simulation.vectorized import horizon_interval_stream
 from repro.topology.model import Topology
 from repro.utils.linalg import is_row_stochastic
 from repro.utils.rng import RandomState, spawn_generators
@@ -121,17 +121,24 @@ def simulate_event_capture(
         raise ValueError("rates must be >= 0")
 
     schedule_rng, event_rng = spawn_generators(seed, 2)
-    intervals, _ = _sensor_intervals(
+    poi_of, starts, ends, _ = horizon_interval_stream(
         topology, matrix, horizon, schedule_rng, start=None
     )
+    # PoI-major, each PoI's intervals kept in emission order.
+    order = np.argsort(poi_of, kind="stable")
+    bounds = np.searchsorted(poi_of[order], np.arange(size + 1))
+    starts = starts[order]
+    ends = ends[order]
 
     capture = np.full(size, np.nan)
     counts = np.zeros(size, dtype=np.int64)
     coverage = np.zeros(size)
     gaps = np.full(size, np.nan)
     for poi in range(size):
-        raw = np.asarray(intervals[poi], dtype=float).reshape(-1, 2)
-        merged_starts, merged_ends = merge_intervals(raw[:, 0], raw[:, 1])
+        block = slice(bounds[poi], bounds[poi + 1])
+        merged_starts, merged_ends = merge_intervals(
+            starts[block], ends[block]
+        )
         # Sequential cumsum keeps the sum order of the historical
         # one-interval-at-a-time accumulation.
         covered = (
@@ -185,25 +192,3 @@ def capture_probability_approximation(
     # A PoI that is covered all the time has no gaps: probability 1.
     return np.where(np.isnan(m) & (c > 0.999999), 1.0,
                     c + (1.0 - c) * residual)
-
-
-# List-of-tuples compatibility shims over the array kernels in
-# :mod:`repro.simulation.intervals`; kept because tests exercise the
-# interval logic through these historical signatures.
-
-
-def _merge(intervals) -> list:
-    raw = np.asarray(list(intervals), dtype=float).reshape(-1, 2)
-    starts, ends = merge_intervals(raw[:, 0], raw[:, 1])
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
-def _gap_lengths(merged, horizon: float) -> list:
-    raw = np.asarray(list(merged), dtype=float).reshape(-1, 2)
-    return gap_lengths(raw[:, 0], raw[:, 1], horizon=horizon).tolist()
-
-
-def _count_caught(merged, times, lifetime: float, horizon: float) -> int:
-    """Number of events whose ``[t, t+lifetime]`` window hits coverage."""
-    raw = np.asarray(list(merged), dtype=float).reshape(-1, 2)
-    return count_caught(raw[:, 0], raw[:, 1], times, lifetime, horizon)

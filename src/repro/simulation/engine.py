@@ -10,39 +10,27 @@ The engine measures everything Section VI-D reports: coverage shares and
 exposure segments under both the transition-count and physical-time
 conventions.
 
-Two interchangeable engines implement the measurement:
-
-* ``"vectorized"`` (the default) — pre-samples the whole state path and
-  replays it through array interval arithmetic
-  (:mod:`repro.simulation.vectorized`);
-* ``"loop"`` — the per-step reference implementation in this module, one
-  Python iteration per transition.
-
-Both consume the RNG stream identically and compute every metric with
-the same floating-point operations, so for any inputs they return
-**bit-identical** :class:`~repro.simulation.metrics.SimulationResult`
-values (including the sampled path); the vectorized engine is simply
-10-50x faster.  ``tests/simulation/test_engine_equivalence.py`` holds
-this guarantee in place.
+:func:`simulate_schedule` validates its inputs and hands the work to
+:func:`repro.simulation.vectorized.simulate_schedule_vectorized`, which
+pre-samples the whole state path and replays it through array interval
+arithmetic.  Its results equal the per-step reference simulator in
+``tests/oracles/simulation.py`` bit for bit (sampled path included);
+``tests/simulation/test_engine_equivalence.py`` holds that guarantee in
+place.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.simulation.events import ExposureTracker, IntervalAccumulator
 from repro.simulation.metrics import SimulationResult
 from repro.topology.model import Topology
-from repro.utils.linalg import cumulative_rows, is_row_stochastic
+from repro.utils.linalg import is_row_stochastic
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_index, check_square
-
-#: Valid values for :attr:`SimulationOptions.engine`.
-ENGINES = ("vectorized", "loop")
 
 
 @dataclass(frozen=True)
@@ -52,32 +40,23 @@ class SimulationOptions:
     ``warmup`` transitions are simulated but excluded from measurement so
     the embedded chain forgets its start state.  ``record_path`` stores the
     full state path on the result (memory: 8 bytes/transition).
-    ``engine`` selects the implementation — ``"vectorized"`` (default) or
-    the per-step ``"loop"`` reference; both produce bit-identical results.
     """
 
     start_state: Optional[int] = None
     warmup: int = 0
     record_path: bool = False
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
 
 
 def simulate_schedule(
     topology: Topology,
     matrix: np.ndarray,
-    transitions: Optional[int] = None,
+    transitions: int,
     seed: RandomState = None,
     options: Optional[SimulationOptions] = None,
-    *,
-    steps: Optional[int] = None,
 ) -> SimulationResult:
     """Simulate ``transitions`` Markov transitions of the sensor.
 
@@ -100,27 +79,7 @@ def simulate_schedule(
     the start of the measured window (after warmup) along with the
     destination of every measured transition, i.e. it is the empirical
     distribution of all ``transitions + 1`` states in the measured path.
-
-    ``steps=`` is a deprecated spelling of ``transitions=`` kept for
-    drifted callers; it warns and will be removed — use
-    ``repro.simulate(topology, matrix, kind="single",
-    transitions=...)``.
     """
-    if steps is not None:
-        warnings.warn(
-            "simulate_schedule(steps=...) is deprecated; pass "
-            "transitions= — or use the façade: repro.simulate(topology, "
-            "matrix, kind='single', transitions=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if transitions is None:
-            transitions = steps
-    if transitions is None:
-        raise TypeError(
-            "simulate_schedule() missing required argument: "
-            "'transitions'"
-        )
     options = options or SimulationOptions()
     matrix = check_square("matrix", matrix)
     size = topology.size
@@ -140,19 +99,11 @@ def simulate_schedule(
     else:
         state = check_index("start_state", options.start_state, size)
 
-    if options.engine == "vectorized":
-        from repro.simulation.vectorized import simulate_schedule_vectorized
+    # Looked up at call time so wrappers installed on the module (the
+    # end-to-end benchmark's tracer) see every call.
+    from repro.simulation.vectorized import simulate_schedule_vectorized
 
-        return simulate_schedule_vectorized(
-            topology,
-            matrix,
-            transitions,
-            rng,
-            state,
-            options.warmup,
-            options.record_path,
-        )
-    return _simulate_schedule_loop(
+    return simulate_schedule_vectorized(
         topology,
         matrix,
         transitions,
@@ -160,126 +111,4 @@ def simulate_schedule(
         state,
         options.warmup,
         options.record_path,
-    )
-
-
-def _simulate_schedule_loop(
-    topology: Topology,
-    matrix: np.ndarray,
-    transitions: int,
-    rng: np.random.Generator,
-    state: int,
-    warmup: int,
-    record_path: bool,
-) -> SimulationResult:
-    """Per-step reference engine: one Python iteration per transition."""
-    size = topology.size
-    cumulative = cumulative_rows(matrix)
-    travel_times = topology.travel_times
-    passby = topology.passby
-    pauses = topology.pause_times
-    phi = topology.target_shares
-
-    # Per (origin, destination) leg, the list of (poi, t_in, t_out) chord
-    # fractions — the geometry never changes between transitions, so this
-    # turns the per-transition work into interval bookkeeping only.
-    table = topology.chord_table()
-    chords = {
-        (origin, destination): table.leg(origin, destination)
-        for origin in range(size)
-        for destination in range(size)
-        if origin != destination
-    }
-
-    # -- warmup: advance the chain without measuring ------------------- #
-    for _ in range(warmup):
-        state = int(
-            np.searchsorted(cumulative[state], rng.random(), side="right")
-        )
-    start_state = state
-
-    # -- measured run --------------------------------------------------- #
-    clock = 0.0
-    covered_schedule = np.zeros(size)  # sum of T_{jk,i}
-    total_schedule = 0.0  # sum of T_jk
-    visit_counts = np.zeros(size, dtype=np.int64)
-    occupancy = np.zeros(size, dtype=np.int64)
-    accumulators = [IntervalAccumulator(origin=0.0) for _ in range(size)]
-    exposure = ExposureTracker(size, start_state)
-    path = np.empty(transitions + 1, dtype=np.int64) if record_path \
-        else None
-    if path is not None:
-        path[0] = state
-    occupancy[state] += 1
-
-    # The sensor begins the measured window already located at
-    # ``start_state``; physically it is covering that PoI until it departs,
-    # which the first transition's interval bookkeeping handles.
-    for step in range(1, transitions + 1):
-        origin = state
-        destination = int(
-            np.searchsorted(cumulative[origin], rng.random(), side="right")
-        )
-
-        duration = travel_times[origin, destination]
-        covered_schedule += passby[origin, destination]
-        total_schedule += duration
-
-        if origin == destination:
-            # Pause in place: continuous coverage of the origin.
-            accumulators[origin].add(clock, clock + duration)
-        else:
-            travel = duration - pauses[destination]
-            arrival = clock + travel
-            for poi, t_in, t_out in chords[origin, destination]:
-                accumulators[poi].add(
-                    clock + t_in * travel, clock + t_out * travel
-                )
-            # Pause at the destination: contiguous with its entry chord.
-            accumulators[destination].add(arrival, arrival + duration
-                                          - travel)
-
-        exposure.record(step, origin, destination)
-        clock += duration
-        state = destination
-        visit_counts[destination] += 1
-        occupancy[destination] += 1
-        if path is not None:
-            path[step] = destination
-
-    # -- assemble metrics ------------------------------------------------ #
-    coverage_shares = covered_schedule / total_schedule
-    physical_shares = np.array(
-        [acc.covered_time for acc in accumulators]
-    ) / clock
-    deviations = (covered_schedule - phi * total_schedule) / transitions
-    delta_c = float(np.sum(deviations**2))
-
-    exposure_transitions = exposure.mean_segments()
-    finite = np.nan_to_num(exposure_transitions, nan=0.0)
-    e_bar_transitions = float(np.sqrt(np.sum(finite**2)))
-
-    exposure_physical = np.array(
-        [acc.mean_gap() for acc in accumulators]
-    )
-    mean_duration = clock / transitions
-    normalized = np.nan_to_num(exposure_physical / mean_duration, nan=0.0)
-    e_bar_physical = float(np.sqrt(np.sum(normalized**2)))
-
-    return SimulationResult(
-        transitions=transitions,
-        total_time=float(clock),
-        coverage_shares=coverage_shares,
-        physical_coverage_shares=physical_shares,
-        delta_c=delta_c,
-        exposure_transitions=exposure_transitions,
-        e_bar_transitions=e_bar_transitions,
-        exposure_physical=exposure_physical,
-        e_bar_physical_normalized=e_bar_physical,
-        mean_transition_duration=float(mean_duration),
-        visit_counts=visit_counts,
-        occupancy=occupancy / occupancy.sum(),
-        start_state=start_state,
-        end_state=state,
-        path=path,
     )

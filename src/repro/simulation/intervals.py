@@ -1,9 +1,8 @@
 """Vectorized interval arithmetic over coverage timelines.
 
-These kernels replace per-interval Python objects
-(:class:`~repro.simulation.events.IntervalAccumulator` and the list-based
-helpers in :mod:`repro.simulation.capture`) with array passes over whole
-interval streams at once:
+These kernels replace per-interval Python objects (the oracle's
+``IntervalAccumulator`` in ``tests/oracles/events.py``) with array passes
+over whole interval streams at once:
 
 * :func:`merge_intervals` — union of intervals, sorted-by-start semantics;
 * :func:`gap_lengths` — uncovered stretches of a merged timeline;
@@ -42,8 +41,7 @@ def merge_intervals(
     Intervals are stably sorted by start (unless ``assume_sorted``), then
     an interval opens a new merged block iff its start exceeds the
     running maximum end by more than ``merge_tol`` — the same rule as
-    ``IntervalAccumulator.add`` and the capture module's historical
-    ``_merge`` (which used ``merge_tol=0``).
+    the oracle's ``IntervalAccumulator.add``.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
@@ -73,8 +71,7 @@ def gap_lengths(
     Includes the leading gap from ``origin`` to the first interval and —
     when ``horizon`` is given — the trailing gap to ``horizon``; interior
     gaps are the spaces between consecutive merged intervals.  Non-
-    positive candidates are dropped, matching the list-based helper this
-    replaces.
+    positive candidates are dropped.
     """
     merged_starts = np.asarray(merged_starts, dtype=float)
     merged_ends = np.asarray(merged_ends, dtype=float)
@@ -127,7 +124,7 @@ def grouped_coverage(
     Input arrays hold one entry per coverage interval and must be
     **PoI-major**: sorted by ``poi`` with each PoI's intervals kept in
     their emission (timeline) order — exactly the order in which the
-    per-step reference engine feeds its ``IntervalAccumulator`` objects.
+    per-step oracle feeds its ``IntervalAccumulator`` objects.
     Returns ``(covered, gap_sum, gap_count)`` arrays of length ``size``:
     total merged coverage, the summed lengths of completed exposure gaps
     (including the leading gap from ``origin`` when it exceeds
@@ -195,12 +192,13 @@ def grouped_union_length(
     intervals reports zero.
 
     The semantics — and the floating-point operations — are those of the
-    sorted streaming merge historically applied per PoI by the team
-    engine: an interval opens a new merged block iff its start strictly
-    exceeds the running maximum end (no tolerance), each block
-    contributes ``block_max_end - block_start``, and the per-group total
-    is the *sequential* sum of the block contributions (``np.cumsum``
-    matches a running ``+=`` bit for bit).
+    sorted streaming merge the team oracle applies per PoI
+    (``union_length`` in ``tests/oracles/simulation.py``): an interval
+    opens a new merged block iff its start strictly exceeds the running
+    maximum end (no tolerance), each block contributes ``block_max_end -
+    block_start``, and the per-group total is the *sequential* sum of
+    the block contributions (``np.cumsum`` matches a running ``+=`` bit
+    for bit).
     """
     groups = np.asarray(groups, dtype=np.int64)
     starts = np.asarray(starts, dtype=float)

@@ -1,15 +1,15 @@
 """Vectorized simulation engine: pre-sampled paths, array interval math.
 
-Replays the same stochastic process as the per-step reference engine in
-:mod:`repro.simulation.engine` — and produces **bit-identical** results —
-but in whole-path array passes instead of one Python iteration per
-transition:
+Replays the same stochastic process as the per-step reference simulator
+in ``tests/oracles/simulation.py`` — and produces **bit-identical**
+results — but in whole-path array passes instead of one Python iteration
+per transition:
 
 1. **Pre-sampled path.**  All warmup + measured uniforms come from one
    vectorized ``rng.random(n)`` call (NumPy fills the array from the same
    bitstream as ``n`` scalar draws), then
    :func:`repro.markov.sampling.replay_uniforms` maps them through the
-   row CDFs.  Sampled paths therefore match the reference engine's
+   row CDFs.  Sampled paths therefore match the oracle's
    one-draw-per-step loop exactly.
 2. **Leg gathers.**  Transition durations, schedule-convention coverage
    rows, and chord fractions are gathers against the topology's cached
@@ -21,15 +21,15 @@ transition:
    exposure segments reduce to ``np.bincount`` identities over arrival
    and departure steps.
 
-Bit-exactness relies on three properties, each locked in by
-``tests/simulation/test_engine_equivalence.py``:
+Bit-exactness relies on three properties, each locked in by the oracle
+matrix in ``tests/simulation/test_engine_equivalence.py``:
 
 * ``np.cumsum`` is a *sequential* left-to-right sum, so the physical
-  clock grid equals the reference engine's running ``clock += duration``
+  clock grid equals the oracle's running ``clock += duration``
   bit for bit (and chunked column sums continue a sequence exactly by
   seeding the next chunk's cumulative sum with the carry row);
 * interval endpoints are built with the same elementwise expressions
-  (same operands, same association) the reference engine evaluates per
+  (same operands, same association) the oracle evaluates per
   step, and a *stable* sort groups them by PoI without reordering each
   PoI's timeline;
 * integer-valued statistics (visit counts, occupancy, exposure segment
@@ -37,6 +37,8 @@ Bit-exactness relies on three properties, each locked in by
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -57,13 +59,13 @@ def _sequential_leg_colsum(
 ) -> np.ndarray:
     """Sum ``passby[origin_t, dest_t]`` rows in step order.
 
-    Equivalent to the reference engine's per-step
+    Equivalent to the oracle's per-step
     ``covered += passby[origin, destination]``: NumPy reduces a
     C-contiguous array over axis 0 with a plain sequential accumulation
     (pairwise summation only applies along the contiguous axis), and
     each chunk carries the previous partial sum as its row 0, so the
-    addition order matches the loop exactly.  Bit-identity is asserted
-    by the equivalence suite and re-checked on every benchmark run.
+    addition order matches the oracle exactly.  Bit-identity is asserted
+    by the oracle matrix and re-checked on every benchmark run.
     """
     size = passby.shape[2]
     flat = passby.reshape(-1, size)
@@ -84,15 +86,16 @@ def _transition_exposure(
 ) -> tuple:
     """Per-PoI mean exposure segment lengths in transitions.
 
-    Mirrors :class:`~repro.simulation.events.ExposureTracker`: PoI ``i``'s
-    segments run from each departure step (state reached after leaving
-    ``i``; step 0 for every PoI except the start) to the next arrival at
-    ``i``, with self-loops ignored.  Because departures and arrivals
-    strictly alternate per PoI — beginning with a (possibly implicit)
-    departure — the ``k`` completed segments pair the first ``k`` starts
-    with the ``k`` arrivals, so the summed lengths are ``sum(arrival
-    steps) - sum(paired start steps)``; the only possibly-unpaired start
-    is the latest one.  All quantities are integer-valued, hence exact.
+    Mirrors the oracle's ``ExposureTracker`` (``tests/oracles/events.py``):
+    PoI ``i``'s segments run from each departure step (state reached
+    after leaving ``i``; step 0 for every PoI except the start) to the
+    next arrival at ``i``, with self-loops ignored.  Because departures
+    and arrivals strictly alternate per PoI — beginning with a (possibly
+    implicit) departure — the ``k`` completed segments pair the first
+    ``k`` starts with the ``k`` arrivals, so the summed lengths are
+    ``sum(arrival steps) - sum(paired start steps)``; the only
+    possibly-unpaired start is the latest one.  All quantities are
+    integer-valued, hence exact.
     """
     steps = np.arange(1, origins.size + 1)
     moved = origins != dests
@@ -140,11 +143,11 @@ def leg_interval_stream(
     ``origins[t] -> dests[t]`` is the step starting at physical time
     ``clock_starts[t]`` and lasting ``durations[t]``.  Returns
     ``(poi, starts, ends)`` arrays with one entry per coverage interval,
-    ordered exactly as the per-step reference engines emit them: for each
+    ordered exactly as the per-step oracles emit them: for each
     step in sequence, a dwell interval for a self-loop, otherwise the
     leg's pass-by chords (in chord-table order) followed by the
     destination pause.  Endpoints are built with the same elementwise
-    expressions the loop engines evaluate per step, so they are
+    expressions the oracles evaluate per step, so they are
     bit-identical to the scalar bookkeeping.
 
     Shared by the single-sensor engine and the team engine (which runs it
@@ -204,18 +207,18 @@ def presample_horizon_legs(
 ) -> tuple:
     """Pre-sample a state path until the physical clock reaches ``horizon``.
 
-    Vectorized counterpart of the reference loop ``while clock < horizon:
+    Vectorized counterpart of the oracle loop ``while clock < horizon:
     draw, step, clock += duration``.  Uniforms are drawn in chunks
     (``rng.random(n)`` fills the array from the same bitstream as ``n``
     scalar draws); drawing *past* the stopping step is allowed because the
     surplus uniforms are never used and the per-sensor stream is not
     consumed again afterwards.  The clock grid is built by seeding each
     chunk's ``np.cumsum`` with the previous chunk's carry value, which
-    reproduces the loop's sequential ``clock += duration`` additions bit
+    reproduces the oracle's sequential ``clock += duration`` additions bit
     for bit.
 
     Returns ``(path, durations, grid)`` truncated to exactly the ``T``
-    transitions the reference loop takes (step ``t`` happens iff the
+    transitions the oracle takes (step ``t`` happens iff the
     clock before it is ``< horizon``): ``path`` holds ``T + 1`` states,
     ``durations[t]`` is step ``t``'s physical length and ``grid[t]`` the
     clock after it (``grid[-1] >= horizon``).
@@ -254,6 +257,39 @@ def presample_horizon_legs(
     return path[:taken + 1], durations[:taken], grid[:taken]
 
 
+def horizon_interval_stream(
+    topology: Topology,
+    matrix: np.ndarray,
+    horizon: float,
+    rng: np.random.Generator,
+    start: Optional[int],
+) -> tuple:
+    """One sensor's coverage intervals on ``[0, horizon]``.
+
+    Draws the start PoI uniformly from ``rng`` when ``start`` is ``None``
+    (before any transition uniform), pre-samples the path until the clock
+    reaches ``horizon`` and clips its :func:`leg_interval_stream`: an
+    interval starting at or after ``horizon`` is dropped, the others end
+    at ``min(end, horizon)``.  Returns ``(poi, starts, ends, transitions)``
+    with the intervals in emission order.
+
+    Shared by the team engine (once per sensor) and the event-capture
+    measurement (:mod:`repro.simulation.capture`).
+    """
+    if start is None:
+        start = int(rng.integers(topology.size))
+    path, durations, grid = presample_horizon_legs(
+        cumulative_rows(matrix), topology.travel_times, horizon, rng, start
+    )
+    origins = path[:-1]
+    clock_starts = np.concatenate(([0.0], grid[:-1]))
+    poi, lo, hi = leg_interval_stream(
+        topology, origins, path[1:], clock_starts, durations
+    )
+    keep = lo < horizon
+    return poi[keep], lo[keep], np.minimum(hi[keep], horizon), origins.size
+
+
 def simulate_schedule_vectorized(
     topology: Topology,
     matrix: np.ndarray,
@@ -266,7 +302,7 @@ def simulate_schedule_vectorized(
     """Vectorized engine body; called by ``simulate_schedule``.
 
     Inputs are pre-validated; ``start`` is the state *before* warmup and
-    ``rng`` is positioned exactly where the reference engine's would be
+    ``rng`` is positioned exactly where the oracle's would be
     (after any start-state draw).
     """
     size = topology.size
@@ -283,7 +319,7 @@ def simulate_schedule_vectorized(
     phi = topology.target_shares
 
     durations = travel_times[origins, dests]
-    # Sequential prefix sums: grid[t] is the reference engine's ``clock``
+    # Sequential prefix sums: grid[t] is the oracle's ``clock``
     # after measured step t+1, bit for bit.
     grid = np.cumsum(durations)
     clock_starts = np.concatenate(([0.0], grid[:-1]))
@@ -301,13 +337,13 @@ def simulate_schedule_vectorized(
     )
 
     # Stable sort: PoI-major, each PoI's intervals kept in timeline order
-    # — the exact sequences the reference engine feeds its accumulators.
+    # — the exact sequences the oracle feeds its accumulators.
     order = np.argsort(poi, kind="stable")
     covered, gap_sum, gap_count = grouped_coverage(
         poi[order], interval_starts[order], interval_ends[order], size
     )
 
-    # ---- assemble metrics (same expressions as the reference) -------- #
+    # ---- assemble metrics (same expressions as the oracle) ----------- #
     coverage_shares = covered_schedule / total_schedule
     physical_shares = covered / clock
     deviations = (covered_schedule - phi * total_schedule) / transitions

@@ -42,9 +42,8 @@ class LegCoverageTable:
       leg and, within a leg, by ascending PoI index.
 
     Chords are computed by the same scalar
-    :func:`~repro.geometry.coverage.chord_through_disc` the per-step
-    reference engine historically called, so cached and uncached values
-    agree bit for bit.
+    :func:`~repro.geometry.coverage.chord_through_disc` for every leg,
+    so cached and uncached values agree bit for bit.
     """
 
     __slots__ = ("size", "counts", "offsets", "poi", "t_in", "t_out")

@@ -270,7 +270,9 @@ class TestValidation:
     def test_validate_reproduction_passes(self):
         result = ex.validate_reproduction(iterations=80, runs=3, seed=0)
         statuses = [row[1] for row in result.rows]
-        assert len(statuses) == 8
+        # Engine-vs-oracle identity is the oracle matrix's job
+        # (tests/simulation/test_engine_equivalence.py), not a criterion.
+        assert len(statuses) == 7
         # Every acceptance criterion holds even at the tiny budget.
         assert all(status == "PASS" for status in statuses)
 

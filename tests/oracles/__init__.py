@@ -1,0 +1,10 @@
+"""Reference implementations the production simulators are checked against.
+
+The modules here are test equipment, not tests: they hold the per-step
+simulators (:mod:`tests.oracles.simulation`) and their event accumulators
+(:mod:`tests.oracles.events`), written for clarity rather than speed.
+``tests/simulation/test_engine_equivalence.py`` requires every public
+simulation result to equal its oracle bit for bit, and
+``benchmarks/perf/bench_sim.py`` / ``bench_team.py`` time the engines
+against them.
+"""

@@ -87,16 +87,16 @@ class TestCanonicalization:
         assert request_digest(c) != request_digest(d)
 
     @pytest.mark.parametrize("method,digest", [
-        ("basic", "2b123d1fdeefd054c16162b709c568c8"
-                  "b9a7e1ec0d02d62b0b140bc27756f02c"),
-        ("adaptive", "bfe445185bca0dce80dd2403916993453d"
-                     "8118e8b83b4d54826c69b1db43492a"),
-        ("mirror", "7f75fce0d945afdcfd632e0788e415e8b0"
-                   "7a2f5db24b6eb25e391c72798d063a"),
-        ("perturbed", "7b16e4e23c63d5b103435dd36aec63146f"
-                      "15db021c22f8b8f9bbed596c43ef91"),
-        ("multistart", "594e945f91b8024b8af74527692776cbd7"
-                       "b64dc89f250ca0131d693f2377d692"),
+        ("basic", "2ed068aec3938937c4bc5e6e421fafb3"
+                  "46ba68665ca0eb32e6f507475bf20a74"),
+        ("adaptive", "7cd55e1342ecfc9841b45c81c4590bb2b0"
+                     "541c0adbfebc7ed109a357855652be"),
+        ("mirror", "273087c09d2c821313d53b035aba9a4e44"
+                   "34a06e330be694737125ba983587f8"),
+        ("perturbed", "20d1a79e546786083e7b503a32f33a0cc8"
+                      "8aa43dd758681fb15fa4b4258e716b"),
+        ("multistart", "3bcebb788221f5074c15039d63adb72da1"
+                       "9b94d610d74b4e0ad37915c26799ed"),
     ])
     def test_default_request_digest_pinned(self, topology, method, digest):
         """Options field sets are part of the identity: a new or renamed
@@ -117,7 +117,7 @@ class TestRoundTrip:
     def test_simulate_round_trip(self, topology, matrix):
         request = simulation_request(
             topology, matrix, transitions=250, seed=2,
-            options={"engine": "loop", "warmup": 5},
+            options={"start_state": 1, "warmup": 5},
         )
         rebuilt = request_from_dict(request_to_dict(request))
         assert request_digest(rebuilt) == request_digest(request)
@@ -150,6 +150,14 @@ class TestValidation:
         data = request_to_dict(optimize_request(topology))
         data["schema"] = "repro/other/v1"
         with pytest.raises(ValueError, match="schema"):
+            request_from_dict(data)
+
+    def test_v1_request_rejected(self, topology):
+        """v1 requests carried the removed option fields; they are
+        refused by schema rather than silently re-keyed."""
+        data = request_to_dict(optimize_request(topology))
+        data["schema"] = "repro/service-request/v1"
+        with pytest.raises(ValueError, match="service-request/v2"):
             request_from_dict(data)
 
     def test_unknown_params_rejected(self, topology):

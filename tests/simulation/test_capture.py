@@ -5,12 +5,34 @@ import pytest
 
 from repro import paper_topology, uniform_matrix
 from repro.simulation.capture import (
-    _count_caught,
-    _gap_lengths,
-    _merge,
     capture_probability_approximation,
     simulate_event_capture,
 )
+from repro.simulation.intervals import (
+    count_caught,
+    gap_lengths,
+    merge_intervals,
+)
+
+
+# List-of-tuples wrappers over the array kernels, so the cases below
+# read as interval lists.
+
+
+def _merge(intervals) -> list:
+    raw = np.asarray(list(intervals), dtype=float).reshape(-1, 2)
+    starts, ends = merge_intervals(raw[:, 0], raw[:, 1])
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def _gap_lengths(merged, horizon: float) -> list:
+    raw = np.asarray(list(merged), dtype=float).reshape(-1, 2)
+    return gap_lengths(raw[:, 0], raw[:, 1], horizon=horizon).tolist()
+
+
+def _count_caught(merged, times, lifetime: float, horizon: float) -> int:
+    raw = np.asarray(list(merged), dtype=float).reshape(-1, 2)
+    return count_caught(raw[:, 0], raw[:, 1], times, lifetime, horizon)
 
 
 @pytest.fixture(scope="module")

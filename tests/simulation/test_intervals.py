@@ -2,20 +2,20 @@
 
 The array kernels are checked two ways: against tiny hand-computed
 examples, and against the reference implementations they replace
-(:class:`IntervalAccumulator` and brute-force loops) on randomized
-interval streams.
+(the oracle's ``IntervalAccumulator`` and brute-force loops) on
+randomized interval streams.
 """
 
 import numpy as np
 import pytest
 
-from repro.simulation.events import IntervalAccumulator
 from repro.simulation.intervals import (
     count_caught,
     gap_lengths,
     grouped_coverage,
     merge_intervals,
 )
+from tests.oracles.events import IntervalAccumulator
 
 
 def _random_stream(rng, count, max_start=100.0):

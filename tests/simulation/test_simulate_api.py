@@ -1,7 +1,7 @@
 """The ``repro.simulate`` façade: routing, options coercion, snapshot.
 
 Mirrors ``tests/core/test_api.py``: for every registered kind and every
-engine/execution combination, ``simulate(..., kind=k)`` must be
+execution backend, ``simulate(..., kind=k)`` must be
 *bit-identical* to calling the kind's function directly with the same
 arguments; the registry surface and the error contract are pinned the
 same way.
@@ -57,25 +57,14 @@ def _same_team(a, b):
 
 
 class TestSingleEquivalence:
-    @pytest.mark.parametrize("engine", ["vectorized", "loop"])
-    def test_each_engine_bit_identical(self, topology, matrix, engine):
+    def test_options_bit_identical(self, topology, matrix):
         direct = simulate_schedule(
             topology, matrix, transitions=400, seed=5,
-            options=SimulationOptions(engine=engine, warmup=20),
+            options=SimulationOptions(warmup=20),
         )
         routed = simulate(
             topology, matrix, kind="single", transitions=400, seed=5,
-            options={"engine": engine, "warmup": 20},
-        )
-        _same_simulation(direct, routed)
-
-    def test_engine_keyword_shorthand(self, topology, matrix):
-        direct = simulate_schedule(
-            topology, matrix, transitions=300, seed=2,
-            options=SimulationOptions(engine="loop"),
-        )
-        routed = simulate(
-            topology, matrix, transitions=300, seed=2, engine="loop"
+            options={"warmup": 20},
         )
         _same_simulation(direct, routed)
 
@@ -102,26 +91,23 @@ class TestSingleEquivalence:
     def test_repetitions_with_explicit_warmup(self, topology, matrix):
         direct = simulate_repeatedly(
             topology, matrix, 300, repetitions=2, seed=4, warmup=10,
-            engine="loop",
         )
         routed = simulate(
             topology, matrix, transitions=300, repetitions=2, seed=4,
-            options={"warmup": 10, "engine": "loop"},
+            options={"warmup": 10},
         )
         for one, other in zip(direct, routed):
             _same_simulation(one, other)
 
 
 class TestTeamEquivalence:
-    @pytest.mark.parametrize("engine", ["vectorized", "loop"])
-    def test_each_engine_bit_identical(self, topology, matrix, engine):
+    def test_replicated_matrix_bit_identical(self, topology, matrix):
         direct = simulate_team(
-            topology, [matrix, matrix], horizon=800.0, seed=5,
-            engine=engine,
+            topology, [matrix, matrix], horizon=800.0, seed=5
         )
         routed = simulate(
             topology, matrix, kind="team", sensors=2, horizon=800.0,
-            seed=5, engine=engine,
+            seed=5,
         )
         _same_team(direct, routed)
 
@@ -189,13 +175,9 @@ class TestFacadeErrors:
             simulate(topology, matrix, transitions=10,
                      execution="thread")
 
-    def test_conflicting_engines_rejected(self, topology, matrix):
-        with pytest.raises(ValueError, match="conflicting"):
-            simulate(topology, matrix, transitions=10, engine="loop",
-                     options={"engine": "vectorized"})
-
-    def test_bad_engine_named(self, topology, matrix):
-        with pytest.raises(ValueError, match="loop"):
+    def test_engine_keyword_unknown(self, topology, matrix):
+        """There is one simulator per kind; ``engine=`` names nothing."""
+        with pytest.raises(ValueError, match="engine"):
             simulate(topology, matrix, transitions=10, engine="warp")
 
     def test_sensor_count_conflict(self, topology, matrix):

@@ -103,15 +103,18 @@ class TestSimulationDocs:
         performance = (ROOT / "docs" / "performance.md").read_text()
         assert "simulation.md" in performance
 
-    def test_simulation_page_names_both_engines_and_knobs(self):
+    def test_simulation_page_names_oracle_and_knobs(self):
         page = (ROOT / "docs" / "simulation.md").read_text()
         for needed in (
-            '"loop"', '"vectorized"', "SimulationOptions",
-            "simulate_team", "--engine", "replay_uniforms",
+            "tests/oracles", "test_engine_equivalence.py",
+            "SimulationOptions", "simulate_team", "replay_uniforms",
             "spawn_generators", "grouped_coverage",
-            "grouped_union_length", "simulate_team_repeatedly",
+            "grouped_union_length", "horizon_interval_stream",
+            "simulate_team_repeatedly",
         ):
             assert needed in page, f"docs/simulation.md lost {needed!r}"
+        # One simulator per kind: no engine switch left to document.
+        assert "--engine" not in page
 
     def test_multisensor_public_api_documented(self):
         import repro.multisensor as team
@@ -133,7 +136,7 @@ class TestSimulationDocs:
             assert phrase in doc, (
                 f"TeamSimulationResult docstring lost {phrase!r}"
             )
-        for phrase in ("engine", "vectorized", "loop", "bit-identical"):
+        for phrase in ("starts", "[0, M)", "stream"):
             assert phrase in simulate_team.__doc__
 
 

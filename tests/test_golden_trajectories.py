@@ -89,10 +89,6 @@ def _cases():
         {"max_iterations": 200, "trisection_rounds": 4,
          "geometric_decades": 3},
     )
-    cases["paper3-adaptive-no-reuse"] = (
-        _paper, 3, "adaptive", 2,
-        {"max_iterations": 10, "reuse_linesearch_state": False},
-    )
     for index, cooling_k in ((1, 1e-6), (3, 1e-3)):
         cases[f"paper{index}-perturbed-rejecting"] = (
             _paper, index, "perturbed", 1,
@@ -100,12 +96,6 @@ def _cases():
              "trisection_rounds": 4, "geometric_decades": 3,
              "cooling_k": cooling_k},
         )
-    cases["paper2-perturbed-no-reuse"] = (
-        _paper, 2, "perturbed", 6,
-        {"max_iterations": 12, "trisection_rounds": 4,
-         "geometric_decades": 3, "cooling_k": 1e-4,
-         "reuse_linesearch_state": False},
-    )
     cases["paper3-perturbed-absolute-noise"] = (
         _paper, 3, "perturbed", 9,
         {"max_iterations": 20, "stall_limit": 100, "sigma": 0.2,

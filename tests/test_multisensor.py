@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import paper_topology, uniform_matrix
 from repro.multisensor import (
     check_team_result,
@@ -14,13 +15,15 @@ from repro.multisensor import (
     team_coverage_approximation,
     team_exposure_approximation,
 )
-from repro.multisensor.engine import _union_length
+from repro.service import request_from_dict, request_to_dict, team_request
 from repro.simulation.intervals import (
     gap_lengths,
     grouped_coverage,
     grouped_union_length,
     merge_intervals,
 )
+from repro.utils.rng import spawn_generators
+from tests.oracles.simulation import union_length
 
 
 @pytest.fixture(scope="module")
@@ -38,19 +41,19 @@ def team_run(topology):
 
 class TestUnionLength:
     def test_disjoint(self):
-        assert _union_length([(0, 1), (2, 3)]) == pytest.approx(2.0)
+        assert union_length([(0, 1), (2, 3)]) == pytest.approx(2.0)
 
     def test_overlapping(self):
-        assert _union_length([(0, 2), (1, 3)]) == pytest.approx(3.0)
+        assert union_length([(0, 2), (1, 3)]) == pytest.approx(3.0)
 
     def test_unsorted_input(self):
-        assert _union_length([(5, 6), (0, 2)]) == pytest.approx(3.0)
+        assert union_length([(5, 6), (0, 2)]) == pytest.approx(3.0)
 
     def test_empty(self):
-        assert _union_length([]) == 0.0
+        assert union_length([]) == 0.0
 
     def test_nested(self):
-        assert _union_length([(0, 10), (2, 3)]) == pytest.approx(10.0)
+        assert union_length([(0, 10), (2, 3)]) == pytest.approx(10.0)
 
 
 class TestValidation:
@@ -76,6 +79,38 @@ class TestValidation:
                 topology, [uniform_matrix(4)], horizon=100.0,
                 starts=[0, 1],
             )
+
+    @pytest.mark.parametrize("entry", [
+        "simulate_team", "simulate", "team_request", "request_from_dict",
+    ])
+    @pytest.mark.parametrize("last", [False, True], ids=["-1", "M"])
+    def test_rejects_out_of_range_start(self, topology, entry, last):
+        """A start outside [0, M) raises instead of wrapping around or
+        failing inside the sampler."""
+        start = topology.size if last else -1
+        matrix = uniform_matrix(topology.size)
+        with pytest.raises(ValueError, match=r"starts\[1\]"):
+            if entry == "simulate_team":
+                simulate_team(
+                    topology, [matrix] * 2, horizon=100.0, starts=[0, start]
+                )
+            elif entry == "simulate":
+                repro.simulate(
+                    topology, matrix, kind="team", sensors=2,
+                    horizon=100.0, options={"starts": [0, start]},
+                )
+            elif entry == "team_request":
+                team_request(
+                    topology, [matrix] * 2, horizon=100.0,
+                    options={"starts": [0, start]},
+                )
+            else:
+                payload = request_to_dict(team_request(
+                    topology, [matrix] * 2, horizon=100.0,
+                    options={"starts": [0, 1]},
+                ))
+                payload["params"]["options"]["starts"] = [0, start]
+                request_from_dict(payload)
 
 
 class TestTeamSimulation:
@@ -197,7 +232,7 @@ class TestUnionProperties:
     @given(_team_intervals, st.integers(min_value=1, max_value=5))
     def test_grouped_union_matches_per_group_reference(self, team, size):
         """grouped_union_length over scattered groups equals the scalar
-        _union_length reference per group."""
+        oracle's union_length per group."""
         starts, ends = _team_arrays(team)
         rng = np.random.default_rng(starts.size + size)
         poi = rng.integers(0, size, starts.size)
@@ -207,7 +242,7 @@ class TestUnionProperties:
             poi[order], starts[order], ends[order], size
         )
         for group in range(size):
-            reference = _union_length(
+            reference = union_length(
                 [(s, e) for g, s, e in zip(poi, starts, ends)
                  if g == group]
             )
@@ -256,18 +291,17 @@ class TestTeamRepeatedly:
                 a.exposure_mean, b.exposure_mean
             )
 
-    def test_engine_knob_is_bit_identical(self, topology):
+    def test_replications_match_direct_runs(self, topology):
+        """Replication ``r`` is a direct run on the ``r``-th spawned
+        stream."""
         matrix = uniform_matrix(4)
-        loop, vec = (
-            simulate_team_repeatedly(
-                topology, [matrix], horizon=3_000.0, repetitions=2,
-                seed=5, engine=engine,
-            )
-            for engine in ("loop", "vectorized")
+        replicated = simulate_team_repeatedly(
+            topology, [matrix], horizon=3_000.0, repetitions=2, seed=5
         )
-        for a, b in zip(loop, vec):
+        for result, rng in zip(replicated, spawn_generators(5, 2)):
+            direct = simulate_team(topology, [matrix], 3_000.0, seed=rng)
             np.testing.assert_array_equal(
-                a.coverage_shares, b.coverage_shares
+                result.coverage_shares, direct.coverage_shares
             )
 
     def test_rejects_bad_repetitions(self, topology):

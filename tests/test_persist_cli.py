@@ -5,7 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro import paper_topology, uniform_matrix
+from repro import (
+    SimulationOptions,
+    paper_topology,
+    simulate_schedule,
+    uniform_matrix,
+)
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.core.result import OptimizationResult
 from repro.persist import (
@@ -127,17 +132,18 @@ class TestCli:
         ]) == 0
         assert matrix.exists() and result.exists()
         capsys.readouterr()  # drain the topology/optimize output
-        outputs = {}
-        for engine in ("vectorized", "loop"):
-            assert main([
-                "simulate", "--topology", str(topo),
-                "--matrix", str(matrix),
-                "--transitions", "1000", "--warmup", "50",
-                "--engine", engine,
-            ]) == 0
-            outputs[engine] = capsys.readouterr().out
-        assert "coverage shares" in outputs["vectorized"]
-        assert outputs["vectorized"] == outputs["loop"]
+        assert main([
+            "simulate", "--topology", str(topo),
+            "--matrix", str(matrix),
+            "--transitions", "1000", "--warmup", "50",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "coverage shares" in out
+        direct = simulate_schedule(
+            load_topology(topo), load_matrix(matrix), transitions=1000,
+            seed=0, options=SimulationOptions(warmup=50),
+        )
+        assert direct.summary() in out
 
     def test_optimize_basic_algorithm(self, capsys):
         assert main([
@@ -194,24 +200,16 @@ class TestCliTeam:
         out = capsys.readouterr().out
         assert "union coverage" in out
 
-    def test_team_engine_flag_output_identical(self, tmp_path, capsys):
-        topo = tmp_path / "t.json"
-        matrix = tmp_path / "p.json"
-        assert main(["topology", "--paper", "1", "--save", str(topo)]) == 0
-        assert main([
-            "optimize", "--topology", str(topo), "--iterations", "15",
-            "--save-matrix", str(matrix),
-        ]) == 0
-        capsys.readouterr()  # drain the topology/optimize output
-        outputs = {}
-        for engine in ("vectorized", "loop"):
-            assert main([
-                "team", "--topology", str(topo), "--matrix", str(matrix),
-                "--sensors", "3", "--horizon", "4000",
-                "--engine", engine,
-            ]) == 0
-            outputs[engine] = capsys.readouterr().out
-        assert outputs["vectorized"] == outputs["loop"]
+    @pytest.mark.parametrize("command", ["simulate", "team", "experiment"])
+    def test_engine_flag_rejected(self, command):
+        """Each kind has one simulator, so no command takes --engine."""
+        args = {
+            "simulate": ["simulate", "--paper", "1", "--matrix", "p.json"],
+            "team": ["team", "--paper", "1", "--matrix", "p.json"],
+            "experiment": ["experiment", "table4"],
+        }[command]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(args + ["--engine", "loop"])
 
 
 class TestCliParallel:

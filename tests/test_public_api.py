@@ -51,7 +51,7 @@ class TestPublicSurface:
 
 
 class TestDeprecatedSpellings:
-    """Drifted keyword spellings warn and name the façade equivalent."""
+    """The drifted ``steps=``/``duration=`` spellings are gone."""
 
     @pytest.fixture(scope="class")
     def topology(self):
@@ -61,35 +61,13 @@ class TestDeprecatedSpellings:
     def matrix(self, topology):
         return repro.metropolis_hastings_matrix(topology.target_shares)
 
-    def test_simulate_schedule_steps_warns(self, topology, matrix):
-        with pytest.warns(DeprecationWarning, match="repro.simulate"):
-            deprecated = repro.simulate_schedule(
-                topology, matrix, steps=200, seed=3
-            )
-        current = repro.simulate_schedule(
-            topology, matrix, transitions=200, seed=3
-        )
-        assert deprecated.coverage_shares.tobytes() == \
-            current.coverage_shares.tobytes()
-
-    def test_simulate_team_duration_warns(self, topology, matrix):
+    def test_removed_spellings_raise_typeerror(self, topology, matrix):
         from repro.multisensor import simulate_team
 
-        with pytest.warns(DeprecationWarning, match="repro.simulate"):
-            deprecated = simulate_team(
-                topology, [matrix], duration=300.0, seed=3
-            )
-        current = simulate_team(topology, [matrix], horizon=300.0,
-                                seed=3)
-        assert deprecated.coverage_shares.tobytes() == \
-            current.coverage_shares.tobytes()
-
-    def test_explicit_spelling_takes_precedence(self, topology, matrix):
-        with pytest.warns(DeprecationWarning):
-            result = repro.simulate_schedule(
-                topology, matrix, transitions=150, steps=999, seed=1
-            )
-        assert result.transitions == 150
+        with pytest.raises(TypeError, match="steps"):
+            repro.simulate_schedule(topology, matrix, steps=200, seed=3)
+        with pytest.raises(TypeError, match="duration"):
+            simulate_team(topology, [matrix], duration=300.0, seed=3)
 
     def test_missing_required_argument_still_typeerror(
         self, topology, matrix
