@@ -28,7 +28,7 @@ from repro.core.registry import (
     normalize_extra_terms,
 )
 from repro.core.state import ChainState
-from repro.core.terms import EnergyTerm, EntropyTerm, ObjectiveTerm, TermBatch
+from repro.core.terms import ObjectiveTerm, TermBatch
 from repro.markov.sparse import (
     HAVE_SPARSE,
     SparseStationaryTemplate,
@@ -168,9 +168,7 @@ class CoverageCost:
         self.linalg = linalg
         self.resolved_linalg = resolve_linalg(linalg, topology)
         self.extra_terms = normalize_extra_terms(extra_terms)
-        travel = topology.travel_times
         self._support = topology.adjacency  # None for dense topologies
-        self._passby = None if self._support is not None else topology.passby
         self._coverage = TERM_REGISTRY["coverage"].factory(
             topology, weights.alpha
         )
@@ -180,43 +178,30 @@ class CoverageCost:
         self._penalty = BarrierPenalty(
             epsilon=weights.epsilon, support=self._support
         )
-        self._energy: Optional[EnergyTerm] = None
+        entries = [
+            ("coverage", 1.0, self._coverage),
+            ("exposure", 1.0, self._exposure),
+            ("penalty", 1.0, self._penalty),
+        ]
         if weights.energy_weight > 0:
-            self._energy = TERM_REGISTRY["energy"].factory(
+            entries.append(("energy", 1.0, TERM_REGISTRY["energy"].factory(
                 topology, weights.energy_weight,
                 target=weights.energy_target,
-            )
-        self._entropy: Optional[EntropyTerm] = None
+            )))
         if weights.entropy_weight > 0:
-            self._entropy = TERM_REGISTRY["entropy"].factory(
+            entries.append(("entropy", 1.0, TERM_REGISTRY["entropy"].factory(
                 topology, weights.entropy_weight
-            )
-        self._extra = tuple(
-            build_term(name, topology, weight, **dict(params))
-            for name, weight, params in self.extra_terms
-        )
-        for (name, _, _), term in zip(self.extra_terms, self._extra):
+            )))
+        for name, weight, params in self.extra_terms:
+            term = build_term(name, topology, weight, **dict(params))
             if not term.supports_batch:
                 raise ValueError(
                     f"term {name!r} ({type(term).__name__}) does not "
                     "implement batch_value; the batched/lockstep "
                     "evaluators cannot compose it into a CoverageCost"
                 )
-        entries = [
-            ("coverage", 1.0, self._coverage),
-            ("exposure", 1.0, self._exposure),
-            ("penalty", 1.0, self._penalty),
-        ]
-        if self._energy is not None:
-            entries.append(("energy", 1.0, self._energy))
-        if self._entropy is not None:
-            entries.append(("entropy", 1.0, self._entropy))
-        entries.extend(
-            (name, 1.0, term)
-            for (name, _, _), term in zip(self.extra_terms, self._extra)
-        )
+            entries.append((name, 1.0, term))
         self._sum = CostSum(entries)
-        self._travel = travel
         self._tracker = None  # lazily-built IncrementalCoreTracker
         self._stationary_template = None  # lazily-built, sparse mode
 
@@ -363,9 +348,8 @@ class CoverageCost:
         Worker processes (the process execution backend) rebuild their
         own tracker lazily on first sparse state build.  When a
         :func:`repro.exec.shm.transport_session` is active (the shm
-        transport), the large matrices held directly by the cost — the
-        travel-time copy and the dense pass-by/support arrays — are
-        additionally swapped for shared-memory handles; plain pickling
+        transport), the support mask held directly by the cost is
+        additionally swapped for a shared-memory handle; plain pickling
         is unchanged.
         """
         state = self.__dict__.copy()
@@ -374,9 +358,7 @@ class CoverageCost:
         from repro.exec.shm import active_session, share_array
 
         if active_session() is not None:
-            for key in ("_travel", "_passby", "_support"):
-                if key in state:
-                    state[key] = share_array(state[key])
+            state["_support"] = share_array(state["_support"])
         return state
 
     def __setstate__(self, state):
@@ -396,35 +378,35 @@ class CoverageCost:
         return self._sum.value(state)
 
     def evaluate(self, matrix_or_state) -> CostBreakdown:
-        """Full decomposition of the cost at a matrix."""
+        """Full decomposition of the cost at a matrix.
+
+        Each term's value is read from the :class:`CostSum` members by
+        label; ``u_eps`` is the same left fold :meth:`value` computes,
+        and ``u`` that fold without the barrier.
+        """
         state = self._as_state(matrix_or_state)
-        coverage_value = self._coverage.value(state)
-        exposure_value = self._exposure.value(state)
-        penalty_value = self._penalty.value(state)
-        energy_value = self._energy.value(state) if self._energy else 0.0
-        entropy_value = self._entropy.value(state) if self._entropy else 0.0
-        extra_values = tuple(
-            (name, float(term.value(state)))
-            for (name, _, _), term in zip(self.extra_terms, self._extra)
-        )
-        u = coverage_value + exposure_value + energy_value + entropy_value
-        for _, extra in extra_values:
-            u = u + extra
+        parts = self._sum.term_values(state)
+        split = len(parts) - len(self.extra_terms)
+        paper = dict(parts[:split])
         exposures = self._exposure.exposures(state)
         deviations = self._coverage.deviations(state)
         return CostBreakdown(
-            u=float(u),
-            u_eps=float(u + penalty_value),
-            coverage_value=float(coverage_value),
-            exposure_value=float(exposure_value),
-            penalty_value=float(penalty_value),
-            energy_value=float(energy_value),
-            entropy_value=float(entropy_value),
+            u=float(sum(
+                value for label, value in parts if label != "penalty"
+            )),
+            u_eps=float(sum(value for _, value in parts)),
+            coverage_value=float(paper["coverage"]),
+            exposure_value=float(paper["exposure"]),
+            penalty_value=float(paper["penalty"]),
+            energy_value=float(paper.get("energy", 0.0)),
+            entropy_value=float(paper.get("entropy", 0.0)),
             delta_c=float(np.sum(deviations**2)),
             e_bar=float(np.sqrt(np.sum(exposures**2))),
-            coverage_shares=self.coverage_shares(state),
+            coverage_shares=self._coverage.shares(state),
             exposure_times=exposures,
-            extra_values=extra_values,
+            extra_values=tuple(
+                (name, float(value)) for name, value in parts[split:]
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -451,20 +433,7 @@ class CoverageCost:
 
     def coverage_shares(self, matrix_or_state) -> np.ndarray:
         """Long-run coverage shares ``C-bar_i`` (Eq. 2)."""
-        state = self._as_state(matrix_or_state)
-        weighted = state.pi[:, None] * state.p
-        total = float(np.sum(weighted * self._travel))
-        if self._passby is None:
-            # Compact entry-list contraction (support topologies).
-            term = self._coverage
-            covered = np.bincount(
-                term._i,
-                weights=weighted[term._j, term._k] * term._t_val,
-                minlength=self.size,
-            )
-        else:
-            covered = np.einsum("jk,jki->i", weighted, self._passby)
-        return covered / total
+        return self._coverage.shares(self._as_state(matrix_or_state))
 
     def exposure_times(self, matrix_or_state) -> np.ndarray:
         """Per-PoI average exposure times ``E-bar_i`` (Eq. 3)."""
@@ -495,9 +464,8 @@ class CoverageCost:
         yielding non-ergodic/singular systems map to ``+inf`` rather than
         raising — an infeasible probe is merely unattractive.
 
-        Only the terms of the paper's ``U_eps`` (coverage, exposure,
-        barrier) plus any enabled extension terms are included, identical
-        to :meth:`value`; the two paths are cross-checked by tests.
+        The objective is the same :class:`CostSum` :meth:`value` folds,
+        evaluated through each member's ``batch_value``.
         """
         return self.batch_evaluate(stack)[0]
 
@@ -511,11 +479,13 @@ class CoverageCost:
         line search uses them to hand its winning probe's state back to
         the optimizer without refactorizing (see :class:`RayBatch`).
 
-        On the sparse path ``zs`` is ``None``: no fundamental matrix is
+        Three steps: one feasibility mask, one chain step for the
+        backend, then the :class:`CostSum` on a :class:`TermBatch`.  On
+        the sparse path ``zs`` is ``None``: no fundamental matrix is
         ever materialized — stationary distributions come from per-probe
-        sparse factorizations and the exposure term uses its closed
-        form, so a whole line-search stage costs ``O(k (nnz + M^2))``
-        instead of ``O(k M^3)``.
+        sparse factorizations and exposures from their closed form, so
+        a whole line-search stage costs ``O(k (nnz + M^2))`` instead of
+        ``O(k M^3)``.
         """
         stack = np.asarray(stack, dtype=float)
         if stack.ndim != 3 or stack.shape[1:] != (self.size, self.size):
@@ -524,251 +494,129 @@ class CoverageCost:
                 f"got {stack.shape}"
             )
         k, size = stack.shape[0], self.size
+        sparse = self.resolved_linalg == "sparse"
         values = np.full(k, np.inf)
         if k == 0:
-            empty = np.zeros((0, size))
-            zs = None if self.resolved_linalg == "sparse" \
-                else np.zeros((0, size, size))
-            return values, empty, zs, np.zeros(0, dtype=bool)
+            zs = None if sparse else np.zeros((0, size, size))
+            return values, np.zeros((0, size)), zs, np.zeros(0, dtype=bool)
         perf.count("batch_calls")
         perf.count("batch_matrices", k)
-        if self.resolved_linalg == "sparse":
-            return self._batch_evaluate_sparse(stack, values)
-        eye = np.eye(size)
-
+        diag = np.einsum("kii->ki", stack)
         with np.errstate(all="ignore"):
-            # Stationary distributions: solve (I - P^T | ones) pi = e_n.
-            systems = eye[None, :, :] - np.transpose(stack, (0, 2, 1))
-            systems[:, -1, :] = 1.0
-            rhs = np.zeros(size)
-            rhs[-1] = 1.0
-            rhs_stack = np.broadcast_to(rhs[:, None], (k, size, 1))
-            try:
-                pis = np.linalg.solve(systems, rhs_stack)[..., 0]
-            except np.linalg.LinAlgError:
-                pis = _solve_one_by_one(systems, rhs)
-            # Sanitize exactly as the scalar solver does (clip round-off
-            # negatives, renormalize): the cores below must match the
-            # scalar path's bit for bit, or a state handed back by the
-            # line search would not equal the one a scratch rebuild
-            # produces and reuse would perturb trajectories.
-            pis = np.clip(pis, 0.0, None)
-            sums = pis.sum(axis=1, keepdims=True)
-            safe_sums = np.where(sums > 0.0, sums, 1.0)
-            pis = pis / safe_sums
-            # Fundamental matrices Z = inv(I - P + W).
-            cores = eye[None, :, :] - stack + pis[:, None, :]
-            try:
-                zs = np.linalg.inv(cores)
-            except np.linalg.LinAlgError:
-                zs = _invert_one_by_one(cores)
-
-            ok = (
-                np.isfinite(pis).all(axis=1)
-                & (pis > 0.0).all(axis=1)
-                & np.isfinite(zs).all(axis=(1, 2))
-            )
-            diag = np.einsum("kii->ki", stack)
-            ok &= (diag < 1.0 - 1e-13).all(axis=1)
-            # The box is [0, 1] on both sides: an off-diagonal entry above
-            # 1 must be masked here, not left for the barrier to take the
-            # log of a negative number.
-            ok &= (stack >= 0.0).all(axis=(1, 2))
-            ok &= (stack <= 1.0).all(axis=(1, 2))
-            if self._support is not None:
-                ok &= (stack[:, ~self._support] == 0.0).all(axis=1)
-            if not ok.any():
-                return values, pis, zs, ok
-
-            # Coverage deviation term.
-            if self._passby is None:
-                coverage = self._coverage.batch_deviation_values(
-                    pis, stack
+            ok = self._batch_feasible(stack, diag)
+            if sparse:
+                pis, zs, exposures, solved = self._sparse_chain(
+                    stack, diag, ok
                 )
             else:
-                weighted = pis[:, :, None] * stack
-                c = np.einsum(
-                    "kjl,ijl->ki", weighted, self._coverage._b
-                )
-                coverage = 0.5 * np.einsum(
-                    "i,ki,ki->k", self._coverage.alpha, c, c
-                )
-
-            # Exposure term.
-            z_diag = np.einsum("kii->ki", zs)
-            diffs = z_diag[:, None, :] - zs  # (k, j, i): z_ii - z_ji
-            w = stack * np.transpose(diffs, (0, 2, 1))
-            w[:, np.arange(size), np.arange(size)] = 0.0
-            n = w.sum(axis=2)
-            e = n / (pis * (1.0 - diag))
-            exposure = 0.5 * np.einsum("i,ki,ki->k", self._exposure.beta,
-                                       e, e)
-
-            total = coverage + exposure + self._batch_penalties(stack, ok)
-            total = self._batch_extensions(pis, stack, total)
-            total = self._batch_extra(pis, stack, diag, e, total)
-
+                pis, zs, exposures, solved = self._dense_chain(stack, diag)
+            ok &= solved
+            if not ok.any():
+                return values, pis, zs, ok
+            total = self._sum.batch_value(TermBatch(
+                pis=pis, stack=stack, diag=diag, exposures=exposures, ok=ok
+            ))
         values[ok] = total[ok]
         values[~np.isfinite(values)] = np.inf
         return values, pis, zs, ok
 
-    def _batch_penalties(
-        self, stack: np.ndarray, ok: np.ndarray, entries=None
-    ):
-        """Per-probe barrier values, restricted to supported entries.
+    def _batch_feasible(self, stack: np.ndarray, diag: np.ndarray):
+        """The ``[0, 1]`` box, ``p_ii < 1 - 1e-13``, zeros off the support.
 
-        ``entries`` may carry pre-gathered ``stack[:, support]`` values
-        from a caller that already paid for the gather.
+        The box is checked on both sides: an off-diagonal entry above 1
+        must be masked here, not left for the barrier to take the log of
+        a negative number.  With a support only the gathered support
+        entries are box-checked, and comparing nonzero counts enforces
+        the off-support zeros in one pass — full-stack boolean scans are
+        the batch path's memory bottleneck at large M.
         """
-        eps = self.weights.epsilon
-        penalty = np.zeros(stack.shape[0])
-        if self._support is not None:
-            if entries is None:
-                entries = stack[:, self._support]  # (k, #supported)
-            in_band = (entries <= eps) | (entries >= 1.0 - eps)
-            rows_with_band = in_band.any(axis=1) & ok
-            for index in np.nonzero(rows_with_band)[0]:
-                penalty[index] = float(
-                    self._penalty.elementwise_value(
-                        entries[index]
-                    ).sum()
-                )
-            return penalty
-        in_band = (stack <= eps) | (stack >= 1.0 - eps)
-        # Only feasible rows reach the penalty (infeasible ones are
-        # already +inf, and entries outside [0, 1] would make
-        # ``elementwise_value`` raise).
-        rows_with_band = in_band.any(axis=(1, 2)) & ok
-        for index in np.nonzero(rows_with_band)[0]:
-            penalty[index] = float(
-                self._penalty.elementwise_value(stack[index]).sum()
+        ok = (diag < 1.0 - 1e-13).all(axis=1)
+        if self._support is None:
+            return (
+                ok
+                & (stack >= 0.0).all(axis=(1, 2))
+                & (stack <= 1.0).all(axis=(1, 2))
             )
-        return penalty
-
-    def _batch_extensions(
-        self, pis: np.ndarray, stack: np.ndarray, total: np.ndarray
-    ):
-        """Add the energy + entropy extension terms onto ``total``.
-
-        Takes and returns the running total (rather than a standalone
-        extension sum) so the accumulation order — and therefore the
-        bit pattern of dense-path values — matches the historical
-        inline code exactly.
-        """
-        if self._energy is not None:
-            travel = np.einsum(
-                "ki,kij,ij->k", pis, stack, self._energy.distances
+        entries = stack[:, self._support]  # (k, #supported)
+        return (
+            ok
+            & (entries >= 0.0).all(axis=1)
+            & (entries <= 1.0).all(axis=1)
+            & (
+                np.count_nonzero(stack.reshape(len(stack), -1), axis=1)
+                == np.count_nonzero(entries, axis=1)
             )
-            gap = travel - self._energy.target
-            total = total + 0.5 * self._energy.weight * gap * gap
-        if self._entropy is not None:
-            plogp = np.where(
-                stack > 0.0, stack * np.log(stack), 0.0
-            ).sum(axis=2)
-            total = total - self._entropy.weight * (
-                -np.einsum("ki,ki->k", pis, plogp)
-            )
-        return total
-
-    def _batch_extra(
-        self,
-        pis: np.ndarray,
-        stack: np.ndarray,
-        diag: np.ndarray,
-        exposures: np.ndarray,
-        total: np.ndarray,
-    ):
-        """Add the plugin terms' batched values onto ``total``.
-
-        Appended after the extension terms in both the dense and sparse
-        branches, mirroring the scalar composition order; with no
-        plugin terms composed, ``total`` passes through untouched, so
-        the paper objective's bit pattern is unaffected.
-        """
-        if not self._extra:
-            return total
-        batch = TermBatch(
-            pis=pis, stack=stack, diag=diag, exposures=exposures
         )
-        for term in self._extra:
-            total = total + term.batch_value(batch)
-        return total
 
-    def _batch_evaluate_sparse(self, stack: np.ndarray, values: np.ndarray):
-        """Sparse-path batch evaluation: per-probe sparse stationary
-        solves, closed-form exposure, no ``Z`` anywhere.
+    def _dense_chain(self, stack, diag):
+        """Stacked stationary solve, sanitize, ``inv``; exposures from ``Z``.
 
-        Returns ``(values, pis, None, ok)``.
+        Returns ``(pis, zs, exposures, solved)``, ``solved`` marking the
+        probes whose ``pi`` and ``Z`` came out finite and positive.
+        """
+        k, size = stack.shape[0], self.size
+        eye = np.eye(size)
+        # Stationary distributions: solve (I - P^T | ones) pi = e_n.
+        systems = eye[None, :, :] - np.transpose(stack, (0, 2, 1))
+        systems[:, -1, :] = 1.0
+        rhs = np.zeros(size)
+        rhs[-1] = 1.0
+        rhs_stack = np.broadcast_to(rhs[:, None], (k, size, 1))
+        try:
+            pis = np.linalg.solve(systems, rhs_stack)[..., 0]
+        except np.linalg.LinAlgError:
+            pis = _solve_one_by_one(systems, rhs)
+        # Sanitize exactly as the scalar solver does (clip round-off
+        # negatives, renormalize): the cores below must match the scalar
+        # path's bit for bit, or a state handed back by the line search
+        # would not equal the one a scratch rebuild produces and reuse
+        # would perturb trajectories.
+        pis = np.clip(pis, 0.0, None)
+        sums = pis.sum(axis=1, keepdims=True)
+        pis = pis / np.where(sums > 0.0, sums, 1.0)
+        # Fundamental matrices Z = inv(I - P + W).
+        cores = eye[None, :, :] - stack + pis[:, None, :]
+        try:
+            zs = np.linalg.inv(cores)
+        except np.linalg.LinAlgError:
+            zs = _invert_one_by_one(cores)
+        solved = (
+            np.isfinite(pis).all(axis=1)
+            & (pis > 0.0).all(axis=1)
+            & np.isfinite(zs).all(axis=(1, 2))
+        )
+        z_diag = np.einsum("kii->ki", zs)
+        diffs = z_diag[:, None, :] - zs  # (k, j, i): z_ii - z_ji
+        w = stack * np.transpose(diffs, (0, 2, 1))
+        w[:, np.arange(size), np.arange(size)] = 0.0
+        exposures = w.sum(axis=2) / (pis * (1.0 - diag))
+        return pis, zs, exposures, solved
+
+    def _sparse_chain(self, stack, diag, ok):
+        """Sparse stationary solves of the ``ok`` probes, no ``Z``.
+
+        Exposures use the closed form ``E_i = (1-pi_i)/(pi_i(1-p_ii))``.
+        Same return contract as :meth:`_dense_chain` (``zs`` is
+        ``None``); unsolved rows of ``pis`` are NaN.
         """
         k, size = stack.shape[0], self.size
         pis = np.full((k, size), np.nan)
-        diag = np.einsum("kii->ki", stack)
-        sup_vals = None
-        if self._support is not None:
-            # Check only the gathered support entries for the [0, 1] box
-            # (off-support entries must be exactly zero, which the
-            # nonzero-count comparison enforces in one full pass) —
-            # full-stack boolean scans are the batch path's memory
-            # bottleneck at large M.
-            sup_vals = stack[:, self._support]  # (k, #supported)
-            feasible = (
-                (sup_vals >= 0.0).all(axis=1)
-                & (sup_vals <= 1.0).all(axis=1)
-                & (diag < 1.0 - 1e-13).all(axis=1)
-                & (
-                    np.count_nonzero(stack.reshape(k, -1), axis=1)
-                    == np.count_nonzero(sup_vals, axis=1)
-                )
-            )
-        else:
-            feasible = (
-                (stack >= 0.0).all(axis=(1, 2))
-                & (stack <= 1.0).all(axis=(1, 2))
-                & (diag < 1.0 - 1e-13).all(axis=1)
-            )
-        ok = np.zeros(k, dtype=bool)
+        solved = np.zeros(k, dtype=bool)
         template = self._get_stationary_template()
         if template is None:
-            solved = {}
-            for index in np.nonzero(feasible)[0]:
+            found = {}
+            for index in np.nonzero(ok)[0]:
                 try:
-                    solved[index] = sparse_stationary(stack[index])
+                    found[index] = sparse_stationary(stack[index])
                 except (ValueError, RuntimeError):
                     continue  # singular / non-ergodic probe: stays +inf
         else:
-            solved = template.solve_batch(stack, np.nonzero(feasible)[0])
-        for index, pi in solved.items():
+            found = template.solve_batch(stack, np.nonzero(ok)[0])
+        for index, pi in found.items():
             if np.all(np.isfinite(pi)) and pi.min() > 0.0:
                 pis[index] = pi
-                ok[index] = True
-        if not ok.any():
-            return values, pis, None, ok
-        with np.errstate(all="ignore"):
-            if self._passby is None:
-                coverage = self._coverage.batch_deviation_values(
-                    pis, stack
-                )
-            else:
-                weighted = pis[:, :, None] * stack
-                c = np.einsum(
-                    "kjl,ijl->ki", weighted, self._coverage._b
-                )
-                coverage = 0.5 * np.einsum(
-                    "i,ki,ki->k", self._coverage.alpha, c, c
-                )
-            # Exposure via the closed form E_i = (1-pi_i)/(pi_i(1-p_ii)).
-            e = (1.0 - pis) / (pis * (1.0 - diag))
-            exposure = 0.5 * np.einsum(
-                "i,ki,ki->k", self._exposure.beta, e, e
-            )
-            total = coverage + exposure + self._batch_penalties(
-                stack, ok, entries=sup_vals
-            )
-            total = self._batch_extensions(pis, stack, total)
-            total = self._batch_extra(pis, stack, diag, e, total)
-        values[ok] = total[ok]
-        values[~np.isfinite(values)] = np.inf
-        return values, pis, None, ok
+                solved[index] = True
+        return pis, None, (1.0 - pis) / (pis * (1.0 - diag)), solved
 
     def ray_batch(self, matrix: np.ndarray, direction: np.ndarray):
         """Return the batched ray objective ``steps -> U_eps`` values.

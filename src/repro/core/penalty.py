@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.state import ChainState
-from repro.core.terms import ObjectiveTerm
+from repro.core.terms import ObjectiveTerm, TermBatch
 from repro.utils.validation import check_positive
 
 
@@ -107,3 +107,24 @@ class BarrierPenalty(ObjectiveTerm):
             )
             return grad
         return self.elementwise_grad(state.p)
+
+    def batch_value(self, batch: TermBatch) -> np.ndarray:
+        """Per-probe barrier values, restricted to supported entries.
+
+        Only feasible rows (``batch.ok``) with an entry inside a band are
+        evaluated: infeasible ones map to ``+inf`` anyway, and entries
+        outside ``[0, 1]`` would make ``elementwise_value`` raise.
+        """
+        stack = batch.stack
+        entries = stack if self.support is None else stack[:, self.support]
+        eps = self.epsilon
+        in_band = (entries <= eps) | (entries >= 1.0 - eps)
+        rows_with_band = (
+            in_band.reshape(len(entries), -1).any(axis=1) & batch.ok
+        )
+        penalty = np.zeros(stack.shape[0])
+        for index in np.nonzero(rows_with_band)[0]:
+            penalty[index] = float(
+                self.elementwise_value(entries[index]).sum()
+            )
+        return penalty

@@ -63,11 +63,10 @@ class TermSpec:
 
 
 def _make_coverage(topology, weight, **_params) -> CostTerm:
-    """Eq. 9's coverage deviation, support-aware exactly as the cost.
+    """Eq. 9's coverage deviation, support-aware.
 
-    The adjacency branch mirrors :class:`~repro.core.cost.CoverageCost`
-    verbatim: sparse-support topologies get the ``O(E)`` entry-list
-    term, dense ones the precomputed ``O(M^3)`` tensor term.
+    Sparse-support topologies get the ``O(E)`` entry-list term, dense
+    ones the precomputed ``O(M^3)`` tensor term.
     """
     if topology.adjacency is not None:
         return SupportCoverageTerm(
@@ -309,11 +308,10 @@ class CostSum:
 
     Holds ordered ``(label, weight, term)`` entries; :meth:`members`
     exposes the effective term list (raw at weight ``1.0``, wrapped in
-    :class:`ScaledTerm` otherwise) that the gradient engine iterates,
-    and :meth:`value` sums member values in entry order — the exact
-    accumulation the historical hard-wired cost performed, so
-    composing the paper's four terms at unit weight is bit-identical
-    to the special-cased wiring it replaces.
+    :class:`ScaledTerm` otherwise) that the gradient engine iterates.
+    :meth:`value` and :meth:`batch_value` are one left fold of the
+    member values in entry order, scalar and batched alike — the only
+    place the objective is assembled.
     """
 
     def __init__(self, entries) -> None:
@@ -340,9 +338,20 @@ class CostSum:
         """The effective (weight-applied) terms, in composition order."""
         return list(self._members)
 
+    def term_values(self, state: ChainState) -> List[Tuple[str, float]]:
+        """``(label, value)`` per member at ``state``, in entry order."""
+        return [
+            (label, term.value(state))
+            for (label, _, _), term in zip(self._entries, self._members)
+        ]
+
     def value(self, state: ChainState) -> float:
         """The composed objective at ``state``."""
-        return float(sum(term.value(state) for term in self._members))
+        return float(sum(value for _, value in self.term_values(state)))
+
+    def batch_value(self, batch: TermBatch) -> np.ndarray:
+        """The composed objective per probe of a stacked evaluation."""
+        return sum(term.batch_value(batch) for term in self._members)
 
     def member(self, label: str) -> CostTerm:
         """The effective term composed under ``label``."""

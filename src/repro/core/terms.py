@@ -56,17 +56,19 @@ def broadcast_weights(name: str, weights, size: int) -> np.ndarray:
 class TermBatch(NamedTuple):
     """The shared per-probe arrays a batched cost evaluation computes.
 
-    Handed to :meth:`CostTerm.batch_value` so plugin terms ride the
-    line search's stacked evaluation instead of forcing ``k`` scalar
-    state builds.  ``exposures`` rows are only meaningful where the
-    caller's feasibility mask holds — infeasible probes map to ``+inf``
-    afterwards, so garbage rows are never read.
+    Handed to :meth:`CostTerm.batch_value` so every term rides the line
+    search's stacked evaluation instead of forcing ``k`` scalar state
+    builds.  ``pis`` and ``exposures`` rows are only meaningful where
+    ``ok`` holds — infeasible probes map to ``+inf`` afterwards, so
+    garbage rows are never read; a term that would raise on them (the
+    barrier, outside the ``[0, 1]`` box) skips them.
     """
 
     pis: np.ndarray        # (k, M) stationary distributions
     stack: np.ndarray      # (k, M, M) transition matrices
     diag: np.ndarray       # (k, M) diagonals p_ii
     exposures: np.ndarray  # (k, M) per-PoI exposure times E-bar_i
+    ok: np.ndarray         # (k,) feasibility mask
 
 
 class CostTerm(abc.ABC):
@@ -150,6 +152,8 @@ class CoverageDeviationTerm(ObjectiveTerm):
                 f"got {target_shares.shape}"
             )
         self.alpha = broadcast_weights("alpha", alpha, size)
+        self._t = travel_times
+        self._passby = passby
         # B indexed [i, j, k]; passby is indexed [j, k, i].
         self._b = (
             passby.transpose(2, 0, 1)
@@ -160,6 +164,12 @@ class CoverageDeviationTerm(ObjectiveTerm):
         """The per-PoI deviations ``c_i = sum_jk pi_j p_jk B[i, j, k]``."""
         weighted = state.pi[:, None] * state.p
         return np.einsum("jk,ijk->i", weighted, self._b)
+
+    def shares(self, state: ChainState) -> np.ndarray:
+        """Long-run coverage shares ``C-bar_i`` (Eq. 2)."""
+        weighted = state.pi[:, None] * state.p
+        total = float(np.sum(weighted * self._t))
+        return np.einsum("jk,jki->i", weighted, self._passby) / total
 
     def value(self, state: ChainState) -> float:
         c = self.deviations(state)
@@ -259,14 +269,23 @@ class SupportCoverageTerm(ObjectiveTerm):
         """The per-PoI deviations ``c_i`` (same contract as the dense term)."""
         return self._deviations(state.pi, state.p)
 
+    def shares(self, state: ChainState) -> np.ndarray:
+        """Long-run coverage shares ``C-bar_i`` (Eq. 2), one bincount."""
+        weighted = state.pi[:, None] * state.p
+        total = float(np.sum(weighted * self._t))
+        covered = np.bincount(
+            self._i,
+            weights=weighted[self._j, self._k] * self._t_val,
+            minlength=self._size,
+        )
+        return covered / total
+
     def value(self, state: ChainState) -> float:
         c = self.deviations(state)
         return float(0.5 * np.sum(self.alpha * c * c))
 
-    def batch_deviation_values(
-        self, pis: np.ndarray, stack: np.ndarray
-    ) -> np.ndarray:
-        """Per-probe coverage term values for a stacked line search."""
+    def batch_value(self, batch: TermBatch) -> np.ndarray:
+        pis, stack = batch.pis, batch.stack
         # sum_jl pi_j p_jl T_jl over supported legs only: the dense
         # einsum is an O(n M^2) scan that dominates at large M, while
         # off-support entries of a valid stack are identically zero.
@@ -305,9 +324,6 @@ class SupportCoverageTerm(ObjectiveTerm):
     def grad_p(self, state: ChainState) -> np.ndarray:
         inner = self._leg_inner(self.deviations(state))
         return np.where(self._support, state.pi[:, None] * inner, 0.0)
-
-    def batch_value(self, batch: TermBatch) -> np.ndarray:
-        return self.batch_deviation_values(batch.pis, batch.stack)
 
 
 class ExposureTerm(ObjectiveTerm):

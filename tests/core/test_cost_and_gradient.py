@@ -5,19 +5,23 @@ Eq. (10) total derivative along random row-sum-zero directions — it
 exercises Schweitzer adjoints, every term partial, and their assembly.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CostWeights, CoverageCost, paper_topology
+from repro import CostWeights, CoverageCost, paper_topology, scalable_topology
 from repro.core.gradient import (
     accumulate_partials,
     directional_derivative,
     projected_gradient,
     total_derivative,
 )
+from repro.core.initializers import paper_random_matrix
 from repro.core.state import ChainState
+from repro.markov.sparse import HAVE_SPARSE
 from tests.conftest import random_zero_rowsum_direction
 
 
@@ -33,6 +37,71 @@ def full_cost(topology1):
             entropy_weight=0.05,
         ),
     )
+
+
+#: The batch backends the line search runs: name -> (topology, linalg).
+BATCH_SETUPS = {
+    "dense-unmasked": (lambda: paper_topology(1), "dense"),
+    "dense-masked": (
+        lambda: scalable_topology("city-grid", 16, seed=5), "dense"
+    ),
+    "sparse-masked": (
+        lambda: scalable_topology("city-grid", 64, seed=5), "sparse"
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def batch_setup(name):
+    """``(cost, interior)`` for a :data:`BATCH_SETUPS` entry."""
+    if BATCH_SETUPS[name][1] == "sparse" and not HAVE_SPARSE:
+        pytest.skip("scipy.sparse unavailable")
+    make_topology, linalg = BATCH_SETUPS[name]
+    topology = make_topology()
+    cost = CoverageCost(topology, CostWeights(beta=1e-3), linalg=linalg)
+    assert cost.resolved_linalg == linalg
+    interior = paper_random_matrix(
+        topology.size, seed=9, support=cost.support
+    )
+    return cost, interior
+
+
+def infeasible_probe(kind, interior, support):
+    """``interior`` broken in exactly one way named by ``kind``."""
+    size = len(interior)
+    allowed = np.ones((size, size), bool) if support is None else support
+    legs = np.argwhere(allowed & ~np.eye(size, dtype=bool))
+    a, b = legs[0]
+    probe = interior.copy()
+    if kind == "reducible":
+        # Two closed classes {a, b} and {c, d}: pi is not unique.
+        c, d = next(leg for leg in legs if not {a, b} & set(leg))
+        for i, j in ((a, b), (b, a), (c, d), (d, c)):
+            probe[i] = 0.0
+            probe[i, j] = 1.0
+    elif kind == "negative":
+        probe[a, b] = -probe[a, b]
+    elif kind == "above-one":
+        probe[a, b] = 1.5
+    elif kind == "unit-diagonal":
+        probe[a] = 0.0
+        probe[a, a] = 1.0
+    elif kind == "off-support":
+        i, j = np.argwhere(~support)[0]
+        probe[i, j] = 1e-3
+        probe[i, np.argmax(probe[i])] -= 1e-3
+    else:
+        raise ValueError(kind)
+    return probe
+
+
+def assert_probe_infeasible(setup, kind):
+    cost, interior = batch_setup(setup)
+    probe = infeasible_probe(kind, interior, cost.support)
+    values, _, _, ok = cost.batch_evaluate(np.stack([interior, probe]))
+    assert ok[0] and np.isfinite(values[0])
+    assert not ok[1]
+    assert values[1] == np.inf
 
 
 @pytest.fixture
@@ -203,6 +272,27 @@ class TestGradient:
         assert numeric == pytest.approx(analytic, rel=1e-4, abs=1e-7)
 
 
+class TestEvaluateFold:
+    @pytest.mark.parametrize("weights, terms", [
+        (CostWeights(), ()),
+        (CostWeights(energy_weight=0.3), ()),
+        (CostWeights(), {"minimax": 0.5}),
+    ], ids=["paper", "energy", "minimax"])
+    def test_u_eps_is_value_bit_for_bit(self, weights, terms):
+        for number in (1, 2, 3, 4):
+            topology = paper_topology(number)
+            cost = CoverageCost(topology, weights, extra_terms=terms)
+            rng = np.random.default_rng(number)
+            for _ in range(50):
+                # Concentrated rows put entries inside the barrier band,
+                # so the penalty's place in the fold matters.
+                matrix = rng.dirichlet(
+                    np.full(topology.size, 0.2), size=topology.size
+                )
+                state = cost.build_state(matrix)
+                assert cost.evaluate(state).u_eps == cost.value(state)
+
+
 class TestBatchValues:
     def test_matches_scalar_path(self, full_cost, rng):
         stack = np.array(
@@ -225,23 +315,19 @@ class TestBatchValues:
         batch = cost.batch_values(matrix[None])
         assert batch[0] == pytest.approx(cost.value(matrix), rel=1e-10)
 
-    def test_infeasible_maps_to_inf(self, full_cost):
-        reducible = np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ])
-        values = full_cost.batch_values(reducible[None])
-        assert np.isinf(values[0])
+    @pytest.mark.parametrize("setup, kind", [
+        (setup, kind)
+        for setup in BATCH_SETUPS
+        for kind in ("reducible", "above-one", "unit-diagonal",
+                     "off-support")
+        if kind != "off-support" or setup != "dense-unmasked"
+    ])
+    def test_infeasible_maps_to_inf(self, setup, kind):
+        assert_probe_infeasible(setup, kind)
 
-    def test_negative_entries_map_to_inf(self, full_cost):
-        bad = np.full((4, 4), 0.25)
-        bad = bad.copy()
-        bad[0, 0] = -0.25
-        bad[0, 1] = 0.75
-        values = full_cost.batch_values(bad[None])
-        assert np.isinf(values[0])
+    @pytest.mark.parametrize("setup", list(BATCH_SETUPS))
+    def test_negative_entries_map_to_inf(self, setup):
+        assert_probe_infeasible(setup, "negative")
 
     def test_empty_stack(self, full_cost):
         assert full_cost.batch_values(

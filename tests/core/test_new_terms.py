@@ -4,7 +4,8 @@ Each term gets (a) an analytic-vs-finite-difference gradient check
 through the full Schweitzer-adjoint assembly, (b) batch-vs-scalar and
 lockstep equivalence on the line-search paths, (c) dense-vs-sparse
 agreement, and (d) an optimizer integration run showing the term
-actually steers the descent.
+actually steers the descent.  The batch-vs-scalar and dense-vs-sparse
+checks also take the Section VII energy and entropy terms.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ TERM_CASES = [
     ("periodicity", 0.6, {"slack": 0.5}),
 ]
 
+#: The batched-path cases: the plugin terms plus the Section VII
+#: extensions, which compose through ``CostWeights`` fields instead.
+BATCH_CASES = TERM_CASES + [
+    ("energy", {"energy_weight": 0.3, "energy_target": 30.0}, None),
+    ("entropy", {"entropy_weight": 0.05}, None),
+]
+
 
 @pytest.fixture
 def interior_matrix(rng):
@@ -42,11 +50,18 @@ def interior_matrix(rng):
     return matrix / matrix.sum(axis=1, keepdims=True)
 
 
-def extra_cost(topology, case, beta=0.5):
+def extra_cost(topology, case, beta=0.5, epsilon=1e-3, linalg="auto"):
     name, weight, params = case
+    if params is None:  # a Section VII extension: ``weight`` is kwargs
+        return CoverageCost(
+            topology,
+            CostWeights(alpha=1.0, beta=beta, epsilon=epsilon, **weight),
+            linalg=linalg,
+        )
     return CoverageCost(
         topology,
-        CostWeights(alpha=1.0, beta=beta, epsilon=1e-3),
+        CostWeights(alpha=1.0, beta=beta, epsilon=epsilon),
+        linalg=linalg,
         extra_terms=[(name, weight, params)],
     )
 
@@ -110,8 +125,8 @@ class TestGradientFiniteDifference:
 
 
 class TestBatchedPaths:
-    @pytest.mark.parametrize("case", TERM_CASES,
-                             ids=[c[0] for c in TERM_CASES])
+    @pytest.mark.parametrize("case", BATCH_CASES,
+                             ids=[c[0] for c in BATCH_CASES])
     def test_batch_matches_scalar(self, topology1, rng, case):
         cost = extra_cost(topology1, case)
         stack = 0.05 + 0.8 * rng.dirichlet(np.ones(4), size=(5, 4))
@@ -167,15 +182,12 @@ class TestBatchedPaths:
 
     @pytest.mark.skipif(not HAVE_SPARSE,
                         reason="scipy.sparse unavailable")
-    @pytest.mark.parametrize("case", TERM_CASES,
-                             ids=[c[0] for c in TERM_CASES])
+    @pytest.mark.parametrize("case", BATCH_CASES,
+                             ids=[c[0] for c in BATCH_CASES])
     def test_sparse_agrees_with_dense(self, case):
         topology = scalable_topology("city-grid", 64, seed=5)
-        name, weight, params = case
-        weights = CostWeights(alpha=1.0, beta=1e-3)
-        dense = CoverageCost(
-            topology, weights, linalg="dense",
-            extra_terms=[(name, weight, params)],
+        dense = extra_cost(
+            topology, case, beta=1e-3, epsilon=1e-4, linalg="dense"
         )
         sparse = dense.with_linalg("sparse")
         matrix = paper_random_matrix(64, seed=9, support=dense.support)

@@ -1,7 +1,9 @@
 """Consistency checks between documentation, CLI, and code."""
 
 import pathlib
+import re
 
+import numpy as np
 import pytest
 
 import repro
@@ -82,6 +84,32 @@ class TestObjectivesDocs:
         text = (ROOT / source).read_text()
         assert "objectives.md" in text, (
             f"{source} does not link docs/objectives.md"
+        )
+
+    def test_mass_cap_example_batch_matches_value(self):
+        page = (ROOT / "docs" / "objectives.md").read_text()
+        (block,) = [
+            code for code in re.findall(r"```python\n(.*?)```", page, re.S)
+            if "class MassCapTerm" in code
+        ]
+        namespace = {}
+        exec(block, namespace)
+        term = namespace["MassCapTerm"](weight=2.0, cap=0.3)
+        rng = np.random.default_rng(3)
+        stack = rng.dirichlet(np.full(4, 0.5), size=(3, 4))
+        states = [repro.ChainState.from_matrix(p) for p in stack]
+        assert any(state.pi.max() > 0.3 for state in states)
+        batch = repro.TermBatch(
+            pis=np.array([state.pi for state in states]),
+            stack=stack,
+            diag=np.einsum("kii->ki", stack),
+            exposures=np.zeros((3, 4)),
+            ok=np.ones(3, dtype=bool),
+        )
+        np.testing.assert_allclose(
+            term.batch_value(batch),
+            [term.value(state) for state in states],
+            rtol=1e-12,
         )
 
     def test_cli_term_flags_documented(self):
