@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.rng import RandomState, as_generator, paper_random_row
+from repro.utils.rng import RandomState, as_generator, paper_random_rows
 
 
 def _apply_support(matrix: np.ndarray, support) -> np.ndarray:
@@ -48,7 +48,7 @@ def uniform_matrix(size: int, support=None) -> np.ndarray:
 def paper_random_matrix(
     size: int, seed: RandomState = None, support=None
 ) -> np.ndarray:
-    """V2's random initial matrix, row by row (Section V).
+    """V2's random initial matrix (Section V).
 
     Each row uses the paper's recipe: entry ``j < M-1`` takes
     ``rand * rem / M`` of the probability remaining in the row; the last
@@ -57,8 +57,7 @@ def paper_random_matrix(
     """
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
-    rng = as_generator(seed)
-    matrix = np.vstack([paper_random_row(size, rng) for _ in range(size)])
+    matrix = paper_random_rows(size, size, as_generator(seed))
     return _apply_support(matrix, support)
 
 

@@ -5,13 +5,17 @@ whenever the sensor is within sensing range ``r`` of ``i``, including while
 *traveling* between two other PoIs.  For a straight-line path this reduces to
 intersecting the path segment with the disc of radius ``r`` centered at the
 PoI; the length of the resulting chord divided by the travel speed is the
-pass-by coverage time ``T_{jk,i}``.
+pass-by coverage time ``T_{jk,i}``.  :func:`chord_through_disc` is the
+specification; :func:`leg_chords`, its vectorized replay, is what the
+topology layer uses.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.geometry.points import PointLike, as_point, distance
 from repro.geometry.segments import (
@@ -66,6 +70,83 @@ def chord_through_disc(
     if t_out <= t_in:
         return None
     return (t_in, t_out)
+
+
+#: Leg x PoI pairs :func:`leg_chords` intersects at a time; bounds its
+#: temporaries to a few MiB whatever the number of legs.
+CHORD_CHUNK_PAIRS = 1 << 16
+
+
+def leg_lengths(coords, origins, destinations) -> np.ndarray:
+    """Leg lengths by ``math.hypot``, as :meth:`Segment.length` (``np.hypot``
+    may differ in the last bit)."""
+    delta = coords[destinations] - coords[origins]
+    return _hypot(delta[:, 0], delta[:, 1])
+
+
+def _hypot(x, y):
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size)
+
+
+def _max0(v):  # Python's max(0.0, v), signed zeros included
+    return np.where(v > 0.0, v, 0.0)
+
+
+def _min1(v):  # Python's min(1.0, v)
+    return np.where(v < 1.0, v, 1.0)
+
+
+def leg_chords(coords, radius: float, origins, destinations):
+    """Every chord the legs ``coords[origins[n]] -> coords[destinations[n]]``
+    cut through the discs of radius ``radius`` around all ``coords``.
+
+    Returns flat arrays ``(leg, poi, t_in, t_out)``, one entry per pair
+    for which :func:`chord_through_disc` returns a chord (endpoints
+    included), ordered by leg (an index into ``origins``) then PoI.  The
+    steps replay :func:`chord_through_disc` elementwise, with both of its
+    hypots in ``math.hypot`` (the segment distance only where a slack
+    ``np.hypot`` prefilter passes), so the chords equal it bit for bit.
+    """
+    if radius < 0:
+        raise ValueError(f"sensing_radius must be >= 0, got {radius}")
+    coords = np.asarray(coords, dtype=float).reshape(-1, 2)
+    origins = np.asarray(origins, dtype=np.intp)
+    destinations = np.asarray(destinations, dtype=np.intp)
+    step = max(1, CHORD_CHUNK_PAIRS // max(len(coords), 1))
+    chunks = [
+        _chunk_chords(coords, radius, origins[n:n + step],
+                      destinations[n:n + step], n)
+        for n in range(0, max(origins.size, 1), step)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def _chunk_chords(coords, radius, origins, destinations, first):
+    x, y = coords[:, 0], coords[:, 1]
+    sx, sy = x[origins, None], y[origins, None]
+    dx, dy = x[destinations, None] - sx, y[destinations, None] - sy
+    length = leg_lengths(coords, origins, destinations)[:, None]
+    degenerate = length <= 1e-12
+    # Clamped projection and segment distance; a zero-length leg measures
+    # from its start and never divides.
+    ox, oy = x - sx, y - sy
+    t_line = (ox * dx + oy * dy) / np.where(degenerate, 1.0, dx * dx + dy * dy)
+    t_seg = np.where(degenerate, 0.0, _min1(_max0(t_line)))
+    gap_x, gap_y = x - (sx + dx * t_seg), y - (sy + dy * t_seg)
+    leg, poi = np.nonzero(np.hypot(gap_x, gap_y) <= radius * (1.0 + 1e-9))
+    inside = _hypot(gap_x[leg, poi], gap_y[leg, poi]) <= radius
+    leg, poi = leg[inside], poi[inside]
+    # Line distance and Pythagoras half-chord, on the hits only.
+    dx, dy, t_line = dx[leg, 0], dy[leg, 0], t_line[leg, poi]
+    degenerate = degenerate[leg, 0]
+    length = np.where(degenerate, 1.0, length[leg, 0])
+    d_line = np.abs(dx * oy[leg, poi] - dy * ox[leg, poi]) / length
+    slack = radius * radius - d_line * d_line
+    half = np.sqrt(np.where(slack < 0.0, 0.0, slack)) / length
+    t_in = np.where(degenerate, 0.0, _max0(t_line - half))
+    t_out = np.where(degenerate, 1.0, _min1(t_line + half))
+    keep = degenerate | ((d_line <= radius) & (t_out > t_in))
+    return first + leg[keep], poi[keep], t_in[keep], t_out[keep]
 
 
 def coverage_fraction(

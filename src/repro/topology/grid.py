@@ -22,6 +22,21 @@ DEFAULT_SPACING = 100.0
 DEFAULT_RADIUS_FRACTION = 0.3
 
 
+def lattice_positions(rows: int, cols: int, spacing: float) -> list:
+    """Row-major PoI positions of a ``rows x cols`` lattice (validated)."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"rows and cols must be >= 1, got {rows}x{cols}")
+    if rows * cols < 2:
+        raise ValueError("a grid topology needs at least 2 PoIs")
+    if spacing <= 0:
+        raise ValueError(f"spacing must be > 0, got {spacing}")
+    return [
+        (col * spacing, row * spacing)
+        for row in range(rows)
+        for col in range(cols)
+    ]
+
+
 def grid_topology(
     rows: int,
     cols: int,
@@ -37,17 +52,7 @@ def grid_topology(
     ``target_shares`` defaults to the uniform allocation.  The default
     sensing radius is ``DEFAULT_RADIUS_FRACTION * spacing``.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"rows and cols must be >= 1, got {rows}x{cols}")
-    if rows * cols < 2:
-        raise ValueError("a grid topology needs at least 2 PoIs")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be > 0, got {spacing}")
-    positions = [
-        (col * spacing, row * spacing)
-        for row in range(rows)
-        for col in range(cols)
-    ]
+    positions = lattice_positions(rows, cols, spacing)
     count = rows * cols
     if target_shares is None:
         target_shares = np.full(count, 1.0 / count)

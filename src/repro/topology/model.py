@@ -7,12 +7,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.coverage import chord_through_disc
+from repro.geometry.coverage import leg_chords
 from repro.geometry.points import Point, PointLike, as_point
-from repro.geometry.segments import Segment
 from repro.topology.timing import (
     check_disjoint_pois,
     passby_tensor,
+    position_array,
     support_passby_entries,
     travel_distance_matrix,
     travel_time_matrix,
@@ -41,40 +41,26 @@ class LegCoverageTable:
     * ``poi`` / ``t_in`` / ``t_out`` — the flat chord arrays, ordered by
       leg and, within a leg, by ascending PoI index.
 
-    Chords are computed by the same scalar
-    :func:`~repro.geometry.coverage.chord_through_disc` for every leg,
-    so cached and uncached values agree bit for bit.
+    Chords come from one :func:`~repro.geometry.coverage.leg_chords`
+    pass over every leg, equal to the scalar
+    :func:`~repro.geometry.coverage.chord_through_disc` bit for bit.
     """
 
     __slots__ = ("size", "counts", "offsets", "poi", "t_in", "t_out")
 
     def __init__(self, positions: Sequence[Point], radius: float) -> None:
         size = len(positions)
-        counts = np.zeros(size * size, dtype=np.int64)
-        poi_ids: List[int] = []
-        t_ins: List[float] = []
-        t_outs: List[float] = []
-        for origin in range(size):
-            for destination in range(size):
-                if origin == destination:
-                    continue
-                segment = Segment(positions[origin], positions[destination])
-                leg = origin * size + destination
-                for poi in range(size):
-                    chord = chord_through_disc(
-                        segment, positions[poi], radius
-                    )
-                    if chord is not None:
-                        counts[leg] += 1
-                        poi_ids.append(poi)
-                        t_ins.append(chord[0])
-                        t_outs.append(chord[1])
+        origins, destinations = np.nonzero(~np.eye(size, dtype=bool))
+        leg, poi, self.t_in, self.t_out = leg_chords(
+            position_array(positions), radius, origins, destinations
+        )
+        flat = origins[leg] * size + destinations[leg]
         self.size = size
-        self.counts = counts
-        self.offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self.poi = np.asarray(poi_ids, dtype=np.int64)
-        self.t_in = np.asarray(t_ins, dtype=float)
-        self.t_out = np.asarray(t_outs, dtype=float)
+        self.counts = np.bincount(flat, minlength=size * size).astype(
+            np.int64
+        )
+        self.offsets = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
+        self.poi = poi.astype(np.int64)
 
     def leg(self, origin: int, destination: int) -> List[tuple]:
         """Chords of one leg as ``(poi, t_in, t_out)`` tuples."""
@@ -307,10 +293,6 @@ class Topology:
         """Feasible-transition mask (copy), or ``None`` when unrestricted."""
         return None if self._adjacency is None else self._adjacency.copy()
 
-    def support_matrix(self) -> Optional[np.ndarray]:
-        """Alias of :attr:`adjacency` under the optimizer's vocabulary."""
-        return self.adjacency
-
     @property
     def passby(self) -> np.ndarray:
         """Coverage tensor ``T[j, k, i] = T_{jk,i}`` (copy).
@@ -319,15 +301,12 @@ class Topology:
         topologies that only ever use the sparse entry list
         (:meth:`passby_entries`) never allocate it.
         """
-        return self._dense_passby().copy()
-
-    def _dense_passby(self) -> np.ndarray:
         if self._passby_cache is None:
             self._passby_cache = passby_tensor(
                 self.positions, self._sensing_radius, self._speed,
                 self._pause_times,
             )
-        return self._passby_cache
+        return self._passby_cache.copy()
 
     def passby_entries(self):
         """Nonzero pass-by entries ``(j, k, i, T_jki)`` on supported legs.
@@ -351,11 +330,9 @@ class Topology:
     def chord_table(self) -> LegCoverageTable:
         """Per-leg chord fractions (see :class:`LegCoverageTable`).
 
-        Built lazily on first use — the ``O(M^3)`` disc intersections are
-        the expensive part of starting a simulation — and cached on the
-        instance, so repeated simulations of one topology (and fan-out
-        workers receiving a pickled copy of an already-warmed topology)
-        pay for the geometry once.
+        Built lazily on first use and cached on the instance, so repeated
+        simulations of one topology (and fan-out workers receiving a
+        pickled copy of an already-warmed topology) build it once.
         """
         table = getattr(self, "_chord_table", None)
         if table is None:
@@ -374,12 +351,11 @@ class Topology:
         """
         if origin == destination:
             return []
-        row = self._dense_passby()[origin, destination]
-        return [
-            i
-            for i in range(self.size)
-            if i not in (origin, destination) and row[i] > 0.0
-        ]
+        _, poi, _, _ = leg_chords(
+            position_array(self.positions), self._sensing_radius,
+            [origin], [destination],
+        )
+        return [i for i in poi.tolist() if i not in (origin, destination)]
 
     def __getstate__(self):
         """Instance dict; the derived tensors (travel times, distances,

@@ -24,13 +24,13 @@ from typing import Optional
 
 import numpy as np
 
+from repro.topology.grid import (
+    DEFAULT_RADIUS_FRACTION,
+    DEFAULT_SPACING,
+    lattice_positions,
+)
 from repro.topology.model import DEFAULT_PAUSE, DEFAULT_SPEED, Topology
 from repro.utils.rng import RandomState, as_generator
-
-#: Cell spacing of the scalable families, meters.
-DEFAULT_CITY_SPACING = 100.0
-#: Sensing radius as a fraction of the spacing (discs stay disjoint).
-DEFAULT_CITY_RADIUS_FRACTION = 0.3
 
 
 def random_topology(
@@ -98,20 +98,11 @@ def random_topology(
 
 
 def _grid_adjacency(rows: int, cols: int) -> np.ndarray:
-    """4-neighbor lattice adjacency (diagonal filled by the model)."""
-    count = rows * cols
-    adjacency = np.zeros((count, count), dtype=bool)
-    index = np.arange(count).reshape(rows, cols)
-    horizontal = np.stack(
-        (index[:, :-1].ravel(), index[:, 1:].ravel()), axis=1
-    )
-    vertical = np.stack(
-        (index[:-1, :].ravel(), index[1:, :].ravel()), axis=1
-    )
-    for a, b in np.concatenate((horizontal, vertical)):
-        adjacency[a, b] = True
-        adjacency[b, a] = True
-    np.fill_diagonal(adjacency, True)
+    """4-neighbor lattice adjacency, diagonal included."""
+    adjacency = np.eye(rows * cols, dtype=bool)
+    index = np.arange(rows * cols).reshape(rows, cols)
+    for a, b in ((index[:, :-1], index[:, 1:]), (index[:-1], index[1:])):
+        adjacency[a, b] = adjacency[b, a] = True
     return adjacency
 
 
@@ -129,7 +120,7 @@ def _target_shares(count: int, dirichlet_alpha, rng) -> np.ndarray:
 def city_grid_topology(
     rows: int,
     cols: int,
-    spacing: float = DEFAULT_CITY_SPACING,
+    spacing: float = DEFAULT_SPACING,
     sensing_radius: Optional[float] = None,
     speed: float = DEFAULT_SPEED,
     pause_times=DEFAULT_PAUSE,
@@ -146,20 +137,10 @@ def city_grid_topology(
     Target shares default to uniform; pass ``dirichlet_alpha`` (with a
     ``seed``) for a random allocation.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"rows and cols must be >= 1, got {rows}x{cols}")
-    if rows * cols < 2:
-        raise ValueError("a city grid needs at least 2 PoIs")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be > 0, got {spacing}")
+    positions = lattice_positions(rows, cols, spacing)
     if sensing_radius is None:
-        sensing_radius = DEFAULT_CITY_RADIUS_FRACTION * spacing
+        sensing_radius = DEFAULT_RADIUS_FRACTION * spacing
     rng = as_generator(seed)
-    positions = [
-        (col * spacing, row * spacing)
-        for row in range(rows)
-        for col in range(cols)
-    ]
     count = rows * cols
     return Topology(
         positions=positions,
@@ -176,7 +157,7 @@ def ring_of_grids_topology(
     clusters: int,
     cluster_rows: int = 4,
     cluster_cols: int = 4,
-    spacing: float = DEFAULT_CITY_SPACING,
+    spacing: float = DEFAULT_SPACING,
     sensing_radius: Optional[float] = None,
     speed: float = DEFAULT_SPEED,
     pause_times=DEFAULT_PAUSE,
@@ -207,7 +188,7 @@ def ring_of_grids_topology(
     if spacing <= 0:
         raise ValueError(f"spacing must be > 0, got {spacing}")
     if sensing_radius is None:
-        sensing_radius = DEFAULT_CITY_RADIUS_FRACTION * spacing
+        sensing_radius = DEFAULT_RADIUS_FRACTION * spacing
     rng = as_generator(seed)
     block = cluster_rows * cluster_cols
     count = clusters * block
@@ -218,13 +199,7 @@ def ring_of_grids_topology(
     min_separation = extent + 2.0 * spacing
     ring_radius = min_separation / (2.0 * np.sin(np.pi / clusters))
 
-    offsets = np.array(
-        [
-            (col * spacing, row * spacing)
-            for row in range(cluster_rows)
-            for col in range(cluster_cols)
-        ]
-    )
+    offsets = np.array(lattice_positions(cluster_rows, cluster_cols, spacing))
     offsets -= offsets.mean(axis=0)
     positions = []
     for cluster in range(clusters):
@@ -234,16 +209,14 @@ def ring_of_grids_topology(
             point = center + offset
             positions.append((float(point[0]), float(point[1])))
 
-    adjacency = np.zeros((count, count), dtype=bool)
-    block_adjacency = _grid_adjacency(cluster_rows, cluster_cols)
-    for cluster in range(clusters):
-        base = cluster * block
-        adjacency[base:base + block, base:base + block] = block_adjacency
-        # Gateway leg: this cluster's last PoI <-> next cluster's first.
-        exit_poi = base + block - 1
-        entry_poi = ((cluster + 1) % clusters) * block
-        adjacency[exit_poi, entry_poi] = True
-        adjacency[entry_poi, exit_poi] = True
+    adjacency = np.kron(
+        np.eye(clusters, dtype=bool),
+        _grid_adjacency(cluster_rows, cluster_cols),
+    )
+    # Gateway legs: each cluster's last PoI <-> the next cluster's first.
+    following = np.arange(1, clusters + 1)
+    exits, entries = following * block - 1, following % clusters * block
+    adjacency[exits, entries] = adjacency[entries, exits] = True
 
     return Topology(
         positions=positions,

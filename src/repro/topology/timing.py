@@ -16,13 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.coverage import coverage_fraction
-from repro.geometry.segments import Segment
+from repro.geometry.coverage import leg_chords, leg_lengths
+
+
+def position_array(positions) -> np.ndarray:
+    """PoI positions as an ``(M, 2)`` float array."""
+    return np.array([p.as_tuple() for p in positions], float).reshape(-1, 2)
 
 
 def travel_distance_matrix(positions) -> np.ndarray:
     """Pairwise Euclidean distances between PoI positions."""
-    coords = np.asarray([p.as_tuple() for p in positions], dtype=float)
+    coords = position_array(positions)
     deltas = coords[:, None, :] - coords[None, :, :]
     return np.sqrt((deltas**2).sum(axis=-1))
 
@@ -45,39 +49,17 @@ def passby_tensor(
 ) -> np.ndarray:
     """Build the coverage tensor ``T[j, k, i] = T_{jk,i}``.
 
-    The tensor is dense and of size ``M^3``; for the topology sizes in the
-    paper (4-9 PoIs) this is negligible, and even for hundreds of PoIs it
-    remains cheap because it is computed once per topology.
+    The :func:`support_passby_entries` of every leg, scattered into a
+    dense ``M^3`` array (8 MB at ``M = 100``, 1.5 GB at ``M = 576``;
+    sparse topologies keep the entry list instead).
     """
-    if sensing_radius < 0:
-        raise ValueError(f"sensing_radius must be >= 0, got {sensing_radius}")
-    if speed <= 0:
-        raise ValueError(f"speed must be > 0, got {speed}")
-    pause_times = np.asarray(pause_times, dtype=float)
     count = len(positions)
+    j, k, i, times = support_passby_entries(
+        positions, sensing_radius, speed, pause_times,
+        np.ones((count, count), dtype=bool),
+    )
     tensor = np.zeros((count, count, count))
-    for j in range(count):
-        for k in range(count):
-            if j == k:
-                # Self-loop: the sensor stays at j and pauses there.
-                tensor[j, j, j] = pause_times[j]
-                continue
-            segment = Segment(positions[j], positions[k])
-            travel_time = segment.length() / speed
-            for i in range(count):
-                if i == j:
-                    # Paper convention: T_{jk,j} = 0 for k != j.
-                    continue
-                if i == k:
-                    # Paper convention: the destination is credited with its
-                    # pause time only.
-                    tensor[j, k, k] = pause_times[k]
-                    continue
-                fraction = coverage_fraction(
-                    segment, positions[i], sensing_radius
-                )
-                if fraction > 0.0:
-                    tensor[j, k, i] = fraction * travel_time
+    tensor[j, k, i] = times
     return tensor
 
 
@@ -93,77 +75,45 @@ def support_passby_entries(
     The sparse-topology counterpart of :func:`passby_tensor`: instead of
     the dense ``O(M^3)`` tensor (8+ GB at ``M = 1024``) it returns four
     flat arrays listing only the nonzero entries of legs allowed by the
-    boolean ``adjacency`` mask, with the same conventions —
-    ``T_{jj,j} = P_j``, ``T_{jk,j} = 0``, ``T_{jk,k} = P_k``, and chord
-    time for intermediate PoIs.  The per-leg chord geometry replicates
-    :func:`~repro.geometry.coverage.chord_through_disc` step for step,
-    vectorized over candidate PoIs.
+    boolean ``adjacency`` mask.  The order fixes the bits of the sparse
+    coverage term's sums: the self-loops ``T_{jj,j} = P_j`` by ``j``,
+    then each leg ``j -> k`` in row-major order, with its intermediate
+    PoIs' chord times by ascending ``i`` and then ``T_{jk,k} = P_k``
+    (the origin gets nothing, ``T_{jk,j} = 0``).
     """
-    if sensing_radius < 0:
-        raise ValueError(f"sensing_radius must be >= 0, got {sensing_radius}")
     if speed <= 0:
         raise ValueError(f"speed must be > 0, got {speed}")
     pause_times = np.asarray(pause_times, dtype=float)
-    coords = np.asarray([p.as_tuple() for p in positions], dtype=float)
-    count = coords.shape[0]
+    coords = position_array(positions)
+    count = len(coords)
     adjacency = np.asarray(adjacency, dtype=bool)
     if adjacency.shape != (count, count):
         raise ValueError(
             f"adjacency must have shape {(count, count)}, "
             f"got {adjacency.shape}"
         )
-    j_parts = []
-    k_parts = []
-    i_parts = []
-    t_parts = []
-    # Self-loops: the sensor pauses at j, covering only j.
     diagonal = np.nonzero(np.diag(adjacency))[0]
-    j_parts.append(diagonal)
-    k_parts.append(diagonal)
-    i_parts.append(diagonal)
-    t_parts.append(pause_times[diagonal])
-    indices = np.arange(count)
-    radius_sq = sensing_radius * sensing_radius
-    legs = np.argwhere(adjacency & ~np.eye(count, dtype=bool))
-    for j, k in legs:
-        start = coords[j]
-        delta = coords[k] - start
-        length_sq = float(delta @ delta)
-        length = np.sqrt(length_sq)
-        # chord_through_disc, vectorized: unclamped line projection,
-        # clamped segment distance, then the Pythagoras half-chord.
-        offsets = coords - start[None, :]
-        t_line = (offsets @ delta) / length_sq
-        closest = np.clip(t_line, 0.0, 1.0)[:, None] * delta[None, :]
-        seg_dist_sq = ((offsets - closest) ** 2).sum(axis=1)
-        cross = delta[0] * offsets[:, 1] - delta[1] * offsets[:, 0]
-        line_dist_sq = cross * cross / length_sq
-        half = np.sqrt(np.maximum(radius_sq - line_dist_sq, 0.0)) / length
-        fractions = (
-            np.minimum(1.0, t_line + half) - np.maximum(0.0, t_line - half)
-        )
-        covered = (
-            (seg_dist_sq <= radius_sq)
-            & (line_dist_sq <= radius_sq)
-            & (fractions > 0.0)
-            & (indices != j)
-            & (indices != k)
-        )
-        hit = np.nonzero(covered)[0]
-        hit_count = hit.size + 1  # + the destination's pause entry
-        j_parts.append(np.full(hit_count, j))
-        k_parts.append(np.full(hit_count, k))
-        i_parts.append(np.concatenate((hit, [k])))
-        t_parts.append(
-            np.concatenate(
-                (fractions[hit] * (length / speed), [pause_times[k]])
-            )
-        )
+    origins, destinations = np.nonzero(
+        adjacency & ~np.eye(count, dtype=bool)
+    )
+    leg, poi, t_in, t_out = leg_chords(
+        coords, sensing_radius, origins, destinations
+    )
+    between = (poi != origins[leg]) & (poi != destinations[leg])
+    leg, poi = leg[between], poi[between]
+    travel = leg_lengths(coords, origins[leg], destinations[leg]) / speed
+    times = (t_out[between] - t_in[between]) * travel
+    # Each leg's destination pause follows its chords (stable sort).
+    legs = np.concatenate((leg, np.arange(origins.size)))
+    order = np.argsort(legs, kind="stable")
+    legs = legs[order]
+    pois = np.concatenate((poi, destinations))[order]
+    times = np.concatenate((times, pause_times[destinations]))[order]
     return (
-        np.concatenate(j_parts).astype(np.intp),
-        np.concatenate(k_parts).astype(np.intp),
-        np.concatenate(i_parts).astype(np.intp),
-        np.concatenate(t_parts).astype(float),
+        np.concatenate((diagonal, origins[legs])),
+        np.concatenate((diagonal, destinations[legs])),
+        np.concatenate((diagonal, pois)),
+        np.concatenate((pause_times[diagonal], times)),
     )
 
 

@@ -134,12 +134,24 @@ def paper_random_row(size: int, rng: np.random.Generator) -> np.ndarray:
     The construction guarantees strictly positive entries, hence ergodicity
     of the resulting chain.
     """
+    return paper_random_rows(1, size, rng)[0]
+
+
+def paper_random_rows(
+    count: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` :func:`paper_random_row` rows from one uniform draw.
+
+    The column recurrence runs over all rows at once; the rows and the
+    generator's end state equal ``count`` row-by-row calls bit for bit.
+    """
     if size <= 0:
         raise ValueError(f"size must be positive, got {size}")
-    row = np.empty(size)
-    remaining = 1.0
+    draws = rng.uniform(size=(count, size - 1))
+    rows = np.empty((count, size))
+    remaining = np.ones(count)
     for column in range(size - 1):
-        row[column] = rng.uniform() * remaining / size
-        remaining -= row[column]
-    row[size - 1] = remaining
-    return row
+        rows[:, column] = draws[:, column] * remaining / size
+        remaining -= rows[:, column]
+    rows[:, size - 1] = remaining
+    return rows

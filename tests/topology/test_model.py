@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import paper_topology
 from repro.geometry.points import Point
+from repro.topology import model
+from repro.topology.grid import line_topology
 from repro.topology.model import PoI, Topology
+from tests.oracles import geometry as oracle
 
 
 @pytest.fixture
@@ -119,3 +123,27 @@ class TestLineIntermediates:
         assert topo.intermediate_pois(0, 2) == [1]
         assert topo.intermediate_pois(2, 0) == [1]
         assert topo.intermediate_pois(0, 1) == []
+
+    @pytest.mark.parametrize(
+        "build", [lambda: paper_topology(3), lambda: line_topology(6)],
+        ids=["paper-3", "line-6"],
+    )
+    def test_no_dense_tensor(self, build, monkeypatch):
+        """One leg's intermediates never build the ``M^3`` tensor."""
+        topology = build()
+        reference = oracle.passby_tensor(
+            topology.positions, topology.sensing_radius, topology.speed,
+            topology.pause_times,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense pass-by tensor built")
+
+        monkeypatch.setattr(model, "passby_tensor", refuse)
+        for j in range(topology.size):
+            for k in range(topology.size):
+                expected = [
+                    i for i in range(topology.size)
+                    if j != k and i not in (j, k) and reference[j, k, i] > 0
+                ]
+                assert topology.intermediate_pois(j, k) == expected

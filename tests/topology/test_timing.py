@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.points import Point
+from repro.topology.library import scalable_topology
 from repro.topology.timing import (
     check_disjoint_pois,
     passby_tensor,
@@ -116,6 +117,24 @@ class TestPassbyTensor:
     def test_rejects_negative_radius(self, line_points):
         with pytest.raises(ValueError, match="sensing_radius"):
             passby_tensor(line_points, -1.0, 10.0, np.full(4, 10.0))
+
+
+@pytest.mark.parametrize(
+    "family,size",
+    [("city-grid", 36), ("city-grid", 64), ("ring-of-grids", 64),
+     ("ring-of-grids", 128)],
+)
+def test_support_entries_are_the_dense_nonzeros(family, size):
+    """The sparse entry list is the dense tensor's support, bit for bit."""
+    topology = scalable_topology(family, size)
+    j, k, i, times = topology.passby_entries()
+    dense = topology.passby
+    expected = np.argwhere((dense != 0.0) & topology.adjacency[:, :, None])
+    listed = np.stack((j, k, i), axis=1)
+    assert np.array_equal(
+        listed[np.lexsort(listed.T[::-1])], expected
+    )
+    assert times.tobytes() == dense[j, k, i].tobytes()
 
 
 class TestDisjointness:

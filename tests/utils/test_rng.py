@@ -7,6 +7,7 @@ from repro.utils.rng import (
     as_generator,
     derive_seed,
     paper_random_row,
+    paper_random_rows,
     random_simplex_row,
     spawn_generators,
 )
@@ -107,6 +108,24 @@ class TestSimplexRows:
     def test_paper_row_strictly_positive(self, rng):
         for _ in range(20):
             assert paper_random_row(4, rng).min() > 0
+
+    def test_paper_rows_match_row_by_row_reference(self):
+        """One draw for all rows equals ``size`` scalar-draw rows: same
+        bits, and the generator ends in the same state."""
+        size = 64
+        reference_rng = np.random.default_rng(11)
+        expected = np.empty((size, size))
+        for row in expected:
+            remaining = 1.0
+            for column in range(size - 1):
+                row[column] = reference_rng.uniform() * remaining / size
+                remaining -= row[column]
+            row[size - 1] = remaining
+        rng = np.random.default_rng(11)
+        assert paper_random_rows(size, size, rng).tobytes() == (
+            expected.tobytes()
+        )
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_paper_row_bad_size(self, rng):
         with pytest.raises(ValueError, match="size"):
