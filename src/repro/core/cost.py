@@ -20,6 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.gradient import projected_gradient, total_derivative
+from repro.core.linesearch import feasible_step_bound
 from repro.core.penalty import BarrierPenalty
 from repro.core.registry import (
     TERM_REGISTRY,
@@ -294,6 +295,17 @@ class CoverageCost:
             )
         return self._stationary_template
 
+    def _probe_template(self):
+        """The stationary template when line-search probes are support
+        values (the sparse path with a support), else ``None``.
+
+        The template owns the support-value layout: ``np.nonzero``
+        order, with its gather, scatter and diagonal helpers.
+        """
+        if self.resolved_linalg != "sparse":
+            return None
+        return self._get_stationary_template()
+
     def build_state(self, matrix: np.ndarray, check: bool = True) -> ChainState:
         """Build the :class:`ChainState` for ``matrix`` under this cost.
 
@@ -465,7 +477,9 @@ class CoverageCost:
         raising — an infeasible probe is merely unattractive.
 
         The objective is the same :class:`CostSum` :meth:`value` folds,
-        evaluated through each member's ``batch_value``.
+        evaluated through each member's ``batch_value``.  Accepts the
+        same inputs as :meth:`batch_evaluate`, ``(k, nnz)`` support
+        values included.
         """
         return self.batch_evaluate(stack)[0]
 
@@ -486,14 +500,36 @@ class CoverageCost:
         sparse factorizations and exposures from their closed form, so
         a whole line-search stage costs ``O(k (nnz + M^2))`` instead of
         ``O(k M^3)``.
+
+        With an adjacency support, the sparse path also never builds a
+        dense matrix: ``stack`` may be a ``(k, nnz)`` array of support
+        values in ``np.nonzero(support)`` order (what :class:`RayBatch`
+        probes are), and a dense ``(k, M, M)`` stack is gathered to
+        those values, its off-support mass making a probe infeasible.
         """
         stack = np.asarray(stack, dtype=float)
-        if stack.ndim != 3 or stack.shape[1:] != (self.size, self.size):
+        size = self.size
+        template = self._probe_template()
+        entry_path = template is not None
+        if entry_path and stack.shape[1:] == (template.nnz,):
+            entries, dense = stack, None
+        elif stack.ndim == 3 and stack.shape[1:] == (size, size):
+            dense = stack
+            entries = template.values(stack) if entry_path else None
+        else:
+            expected = f"(k, {size}, {size})"
+            if entry_path:
+                expected += f" or (k, {template.nnz})"
             raise ValueError(
-                f"stack must have shape (k, {self.size}, {self.size}), "
-                f"got {stack.shape}"
+                f"stack must have shape {expected}, got {stack.shape}"
             )
-        k, size = stack.shape[0], self.size
+        if entries is not None:
+            # Column-major, the layout a gather ``stack[:, rows, cols]``
+            # yields: numpy then sums each probe's values in support
+            # order, so both inputs (and the terms' row sums) agree bit
+            # for bit whatever layout the caller's array had.
+            entries = np.asfortranarray(entries)
+        k = len(stack)
         sparse = self.resolved_linalg == "sparse"
         values = np.full(k, np.inf)
         if k == 0:
@@ -501,52 +537,57 @@ class CoverageCost:
             return values, np.zeros((0, size)), zs, np.zeros(0, dtype=bool)
         perf.count("batch_calls")
         perf.count("batch_matrices", k)
-        diag = np.einsum("kii->ki", stack)
+        if entry_path:
+            diag = template.diagonals(entries)
+        else:
+            diag = np.einsum("kii->ki", dense)
         with np.errstate(all="ignore"):
-            ok = self._batch_feasible(stack, diag)
+            ok = self._batch_feasible(dense, entries, diag)
             if sparse:
                 pis, zs, exposures, solved = self._sparse_chain(
-                    stack, diag, ok
+                    dense if entries is None else entries, diag, ok
                 )
             else:
-                pis, zs, exposures, solved = self._dense_chain(stack, diag)
+                pis, zs, exposures, solved = self._dense_chain(dense, diag)
             ok &= solved
             if not ok.any():
                 return values, pis, zs, ok
             total = self._sum.batch_value(TermBatch(
-                pis=pis, stack=stack, diag=diag, exposures=exposures, ok=ok
+                pis=pis, stack=None if entry_path else dense, diag=diag,
+                exposures=exposures, ok=ok, entries=entries,
             ))
         values[ok] = total[ok]
         values[~np.isfinite(values)] = np.inf
         return values, pis, zs, ok
 
-    def _batch_feasible(self, stack: np.ndarray, diag: np.ndarray):
+    def _batch_feasible(self, dense, entries, diag):
         """The ``[0, 1]`` box, ``p_ii < 1 - 1e-13``, zeros off the support.
 
         The box is checked on both sides: an off-diagonal entry above 1
         must be masked here, not left for the barrier to take the log of
-        a negative number.  With a support only the gathered support
-        entries are box-checked, and comparing nonzero counts enforces
-        the off-support zeros in one pass — full-stack boolean scans are
-        the batch path's memory bottleneck at large M.
+        a negative number.  With a support only the support values
+        ``entries`` are box-checked (gathered here on the dense path),
+        and a dense stack's off-support zeros are enforced by comparing
+        nonzero counts in one pass.  Support-value probes (``dense`` is
+        ``None``) hold zeros off the support by construction:
+        :class:`RayBatch` checks its base and direction once per ray.
         """
         ok = (diag < 1.0 - 1e-13).all(axis=1)
         if self._support is None:
             return (
                 ok
-                & (stack >= 0.0).all(axis=(1, 2))
-                & (stack <= 1.0).all(axis=(1, 2))
+                & (dense >= 0.0).all(axis=(1, 2))
+                & (dense <= 1.0).all(axis=(1, 2))
             )
-        entries = stack[:, self._support]  # (k, #supported)
-        return (
-            ok
-            & (entries >= 0.0).all(axis=1)
-            & (entries <= 1.0).all(axis=1)
-            & (
-                np.count_nonzero(stack.reshape(len(stack), -1), axis=1)
+        if entries is None:
+            entries = dense[:, self._support]  # (k, #supported)
+        ok &= (entries >= 0.0).all(axis=1) & (entries <= 1.0).all(axis=1)
+        if dense is not None:
+            ok &= (
+                np.count_nonzero(dense.reshape(len(dense), -1), axis=1)
                 == np.count_nonzero(entries, axis=1)
             )
-        )
+        return ok
 
     def _dense_chain(self, stack, diag):
         """Stacked stationary solve, sanitize, ``inv``; exposures from ``Z``.
@@ -592,14 +633,16 @@ class CoverageCost:
         exposures = w.sum(axis=2) / (pis * (1.0 - diag))
         return pis, zs, exposures, solved
 
-    def _sparse_chain(self, stack, diag, ok):
+    def _sparse_chain(self, probes, diag, ok):
         """Sparse stationary solves of the ``ok`` probes, no ``Z``.
 
-        Exposures use the closed form ``E_i = (1-pi_i)/(pi_i(1-p_ii))``.
-        Same return contract as :meth:`_dense_chain` (``zs`` is
-        ``None``); unsolved rows of ``pis`` are NaN.
+        ``probes`` are support values with a support (the template's
+        input), else dense matrices.  Exposures use the closed form
+        ``E_i = (1-pi_i)/(pi_i(1-p_ii))``.  Same return contract as
+        :meth:`_dense_chain` (``zs`` is ``None``); unsolved rows of
+        ``pis`` are NaN.
         """
-        k, size = stack.shape[0], self.size
+        k, size = probes.shape[0], self.size
         pis = np.full((k, size), np.nan)
         solved = np.zeros(k, dtype=bool)
         template = self._get_stationary_template()
@@ -607,11 +650,11 @@ class CoverageCost:
             found = {}
             for index in np.nonzero(ok)[0]:
                 try:
-                    found[index] = sparse_stationary(stack[index])
+                    found[index] = sparse_stationary(probes[index])
                 except (ValueError, RuntimeError):
                     continue  # singular / non-ergodic probe: stays +inf
         else:
-            found = template.solve_batch(stack, np.nonzero(ok)[0])
+            found = template.solve_batch(probes, np.nonzero(ok)[0])
         for index, pi in found.items():
             if np.all(np.isfinite(pi)) and pi.min() > 0.0:
                 pis[index] = pi
@@ -660,6 +703,15 @@ class RayBatch:
     without any new factorization; the historical behavior rebuilt it
     from scratch, paying a redundant stationary solve plus fundamental
     factorization per accepted step.
+
+    On the sparse path with a support (see
+    :meth:`CoverageCost.batch_evaluate`) the ray carries only the
+    support values of its base and direction, so every probe is a
+    ``(nnz,)`` row ``base + step * direction`` and a dense ``P`` is
+    scattered only for a state handed back (the winner, a fallback
+    probe).  Off-support zeros then hold for every probe by
+    construction; the constructor checks them once and raises
+    ``ValueError`` if the base or direction has mass off the support.
     """
 
     def __init__(
@@ -669,25 +721,61 @@ class RayBatch:
         direction: np.ndarray,
     ) -> None:
         self._cost = cost
-        self._matrix = np.asarray(matrix, dtype=float)
-        self._direction = np.asarray(direction, dtype=float)
+        matrix = np.asarray(matrix, dtype=float)
+        direction = np.asarray(direction, dtype=float)
+        self._template = cost._probe_template()
+        if self._template is None:
+            self._base, self._direction = matrix, direction
+        else:
+            shape = (cost.size, cost.size)
+            if matrix.shape != shape or direction.shape != shape:
+                raise ValueError(
+                    f"ray base and direction must have shape {shape}, "
+                    f"got {matrix.shape} and {direction.shape}"
+                )
+            self._base = self._template.values(matrix)
+            self._direction = self._template.values(direction)
+            if (
+                np.count_nonzero(matrix) != np.count_nonzero(self._base)
+                or np.count_nonzero(direction)
+                != np.count_nonzero(self._direction)
+            ):
+                raise ValueError(
+                    "ray base or direction has mass on legs outside the "
+                    "topology's adjacency support"
+                )
         self._best_step: Optional[float] = None
         self._best_value = np.inf
         self._best_parts = None
 
-    def _stack(self, steps: np.ndarray) -> np.ndarray:
-        return (
-            self._matrix[None, :, :]
-            + steps[:, None, None] * self._direction
-        )
+    def step_bound(self) -> float:
+        """The largest feasible step along the ray (shrunk by a hair).
+
+        :func:`~repro.core.linesearch.feasible_step_bound` over the
+        ray's values; on the sparse path the off-support entries it
+        skips have a zero direction and bound nothing, so the bound is
+        the dense one bit for bit.
+        """
+        return feasible_step_bound(self._base, self._direction)
+
+    def _probes(self, steps: np.ndarray) -> np.ndarray:
+        """``base + step * direction`` per step: ``(k, M, M)``/``(k, nnz)``."""
+        shape = (-1,) + (1,) * self._base.ndim
+        return self._base[None] + steps.reshape(shape) * self._direction
+
+    def _matrix(self, probe: np.ndarray) -> np.ndarray:
+        """The dense ``P`` of one probe (scattered on the sparse path)."""
+        if self._template is None:
+            return probe
+        return self._template.dense(probe)
 
     def __call__(self, steps: np.ndarray) -> np.ndarray:
         steps = np.asarray(steps, dtype=float)
-        stack = self._stack(steps)
-        values, pis, zs, ok = self._cost.batch_evaluate(stack)
-        return self._observe(steps, stack, values, pis, zs, ok)
+        probes = self._probes(steps)
+        values, pis, zs, ok = self._cost.batch_evaluate(probes)
+        return self._observe(steps, probes, values, pis, zs, ok)
 
-    def _observe(self, steps, stack, values, pis, zs, ok) -> np.ndarray:
+    def _observe(self, steps, probes, values, pis, zs, ok) -> np.ndarray:
         """Track the first strictly-best feasible probe of one batch.
 
         Shared by the single-ray path (``__call__``) and the fused
@@ -703,7 +791,7 @@ class RayBatch:
                 self._best_step = float(steps[index])
                 self._best_value = float(masked[index])
                 self._best_parts = (
-                    stack[index],
+                    probes[index],
                     pis[index],
                     None if zs is None else zs[index],
                 )
@@ -718,8 +806,8 @@ class RayBatch:
         """
         if self._best_parts is None or self._best_step != float(step):
             return None
-        p, pi, z = self._best_parts
-        return self._cost.state_from_parts(p, pi, z)
+        probe, pi, z = self._best_parts
+        return self._cost.state_from_parts(self._matrix(probe), pi, z)
 
     def probe_state(self, step: float):
         """Evaluate one extra step; return ``(value, state_or_None)``.
@@ -729,13 +817,12 @@ class RayBatch:
         scalar rebuild.  Does not disturb the winner tracked by
         :meth:`state_at`.
         """
-        steps = np.asarray([float(step)])
-        stack = self._stack(steps)
-        values, pis, zs, ok = self._cost.batch_evaluate(stack)
+        probes = self._probes(np.asarray([float(step)]))
+        values, pis, zs, ok = self._cost.batch_evaluate(probes)
         if not ok[0] or not np.isfinite(values[0]):
             return float(values[0]), None
         state = self._cost.state_from_parts(
-            stack[0], pis[0], None if zs is None else zs[0]
+            self._matrix(probes[0]), pis[0], None if zs is None else zs[0]
         )
         return float(values[0]), state
 
@@ -745,8 +832,9 @@ class MultiRayBatch:
 
     Each ray is a :class:`RayBatch` with its own base matrix, direction,
     and winner tracking.  :meth:`evaluate` concatenates every
-    participating ray's probe matrices into a single ``(k, M, M)`` stack,
-    runs one :meth:`CoverageCost.batch_evaluate`, and demultiplexes the
+    participating ray's probes into a single stack (``(k, M, M)``, or
+    ``(k, nnz)`` support values on the sparse path), runs one
+    :meth:`CoverageCost.batch_evaluate`, and demultiplexes the
     per-ray slices back through each ray's ``_observe`` — the exact
     first-strictly-best rule the single-ray path applies.  Because
     ``batch_evaluate`` treats every stack member independently, the
@@ -771,10 +859,10 @@ class MultiRayBatch:
         return len(self.rays)
 
     def _fused(self, steps_per_ray):
-        """Concatenate participating rays' stacks; yield slice metadata.
+        """Concatenate participating rays' probes; yield slice metadata.
 
         ``steps_per_ray`` aligns with :attr:`rays`; ``None`` entries sit
-        out this stage.  Returns ``(parts, fused_results)`` where
+        out this stage.  Returns ``(parts, fused_results, probes)`` where
         ``parts`` is a list of ``(index, steps, lo, hi)`` slice bounds.
         """
         parts = []
@@ -784,7 +872,7 @@ class MultiRayBatch:
             if steps is None:
                 continue
             steps = np.asarray(steps, dtype=float)
-            chunk = self.rays[index]._stack(steps)
+            chunk = self.rays[index]._probes(steps)
             parts.append((index, steps, offset, offset + steps.size))
             chunks.append(chunk)
             offset += steps.size
@@ -806,10 +894,10 @@ class MultiRayBatch:
         fused = self._fused(steps_per_ray)
         if fused[1] is None:
             return out
-        parts, (values, pis, zs, ok), stack = fused
+        parts, (values, pis, zs, ok), probes = fused
         for index, steps, lo, hi in parts:
             out[index] = self.rays[index]._observe(
-                steps, stack[lo:hi], values[lo:hi],
+                steps, probes[lo:hi], values[lo:hi],
                 pis[lo:hi], None if zs is None else zs[lo:hi],
                 ok[lo:hi],
             )
@@ -832,13 +920,14 @@ class MultiRayBatch:
         fused = self._fused(steps_per_ray)
         if fused[1] is None:
             return out
-        parts, (values, pis, zs, ok), stack = fused
+        parts, (values, pis, zs, ok), probes = fused
         for index, _, lo, _ in parts:
             if not ok[lo] or not np.isfinite(values[lo]):
                 out[index] = (float(values[lo]), None)
             else:
                 state = self._cost.state_from_parts(
-                    stack[lo], pis[lo], None if zs is None else zs[lo]
+                    self.rays[index]._matrix(probes[lo]), pis[lo],
+                    None if zs is None else zs[lo],
                 )
                 out[index] = (float(values[lo]), state)
         return out

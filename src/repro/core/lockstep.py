@@ -48,7 +48,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.cost import CoverageCost
+from repro.core.cost import CoverageCost, MultiRayBatch
 from repro.core.linesearch import TrisectionState
 from repro.core.multistart import (
     DEFAULT_DELTA_GRID,
@@ -168,9 +168,7 @@ def lockstep_multistart(
             with _measured(slot.counters):
                 slot.spec = slot.walk.begin_iteration()
 
-        batch = cost.multi_ray_batch(
-            [(slot.spec.matrix, slot.spec.direction) for slot in active]
-        )
+        batch = MultiRayBatch(cost, [slot.spec.ray for slot in active])
         searches = [
             TrisectionState(
                 upper=slot.spec.bound,

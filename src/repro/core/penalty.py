@@ -114,15 +114,21 @@ class BarrierPenalty(ObjectiveTerm):
         Only feasible rows (``batch.ok``) with an entry inside a band are
         evaluated: infeasible ones map to ``+inf`` anyway, and entries
         outside ``[0, 1]`` would make ``elementwise_value`` raise.
+        Support-value batches (``batch.entries``) are already the
+        supported entries, in the order ``stack[:, support]`` gathers.
         """
-        stack = batch.stack
-        entries = stack if self.support is None else stack[:, self.support]
+        entries = batch.entries
+        if entries is None:
+            stack = batch.stack
+            entries = (
+                stack if self.support is None else stack[:, self.support]
+            )
         eps = self.epsilon
         in_band = (entries <= eps) | (entries >= 1.0 - eps)
         rows_with_band = (
             in_band.reshape(len(entries), -1).any(axis=1) & batch.ok
         )
-        penalty = np.zeros(stack.shape[0])
+        penalty = np.zeros(len(entries))
         for index in np.nonzero(rows_with_band)[0]:
             penalty[index] = float(
                 self.elementwise_value(entries[index]).sum()

@@ -47,7 +47,7 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.cost import CoverageCost
+from repro.core.cost import CoverageCost, RayBatch
 from repro.core.initializers import paper_random_matrix, uniform_matrix
 from repro.core.linesearch import feasible_step_bound, trisection_search
 from repro.core.options import OptimizerOptions, SearchOptions
@@ -164,10 +164,13 @@ def acceptance_probability(
 
 
 class SearchSpec(NamedTuple):
-    """What one iteration's line search needs: the ray and its bounds."""
+    """What one iteration's line search needs: the ray and its bounds.
 
-    matrix: np.ndarray
-    direction: np.ndarray
+    ``ray`` is ``None`` under the constant step policy, which searches
+    nothing.
+    """
+
+    ray: Optional[RayBatch]
     bound: float
     baseline: float
 
@@ -261,12 +264,14 @@ class PerturbedWalk:
         ):
             self._finish("gradient_tol", counted=False)
             return None
-        self._bound = feasible_step_bound(self.state.p, self._direction)
+        if options.STEP_POLICY == "constant":
+            ray = None
+            self._bound = feasible_step_bound(self.state.p, self._direction)
+        else:
+            ray = self.cost.ray_batch(self.state.p, self._direction)
+            self._bound = ray.step_bound()
         return SearchSpec(
-            matrix=self.state.p,
-            direction=self._direction,
-            bound=self._bound,
-            baseline=self.breakdown.u_eps,
+            ray=ray, bound=self._bound, baseline=self.breakdown.u_eps
         )
 
     def choose_step(self, search) -> Optional[float]:
@@ -538,7 +543,7 @@ def advance_walk(
         walk.choose_step(None)
         walk.complete_iteration(None)
         return True
-    ray = cost.ray_batch(spec.matrix, spec.direction)
+    ray = spec.ray
     search = trisection_search(
         upper=spec.bound,
         baseline=spec.baseline,

@@ -90,12 +90,13 @@ def _make_exposure(topology, weight, **_params) -> CostTerm:
 
 def _make_energy(topology, weight, target=0.0) -> CostTerm:
     return EnergyTerm(
-        distances=topology.distances, weight=weight, target=float(target)
+        distances=topology.distances, weight=weight, target=float(target),
+        support=topology.adjacency,
     )
 
 
-def _make_entropy(_topology, weight, **_params) -> CostTerm:
-    return EntropyTerm(weight=weight)
+def _make_entropy(topology, weight, **_params) -> CostTerm:
+    return EntropyTerm(weight=weight, support=topology.adjacency)
 
 
 def _make_minimax(_topology, weight, tau=8.0) -> CostTerm:

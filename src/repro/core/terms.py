@@ -45,6 +45,23 @@ from repro.core.state import ChainState
 from repro.utils.validation import check_square
 
 
+def _support_legs(support) -> Optional[tuple]:
+    """``np.nonzero(support)``: the legs of ``TermBatch.entries``."""
+    if support is None:
+        return None
+    return np.nonzero(np.asarray(support, dtype=bool))
+
+
+def _entry_legs(term: "CostTerm", legs: Optional[tuple]) -> tuple:
+    """``term``'s support legs; raise if it was built without a support."""
+    if legs is None:
+        raise ValueError(
+            f"{type(term).__name__} was built without a support and "
+            "cannot read support-value batches"
+        )
+    return legs
+
+
 def broadcast_weights(name: str, weights, size: int) -> np.ndarray:
     """Expand a scalar or per-PoI weight spec into a length-``size`` array."""
     array = np.broadcast_to(np.asarray(weights, dtype=float), (size,)).copy()
@@ -62,13 +79,19 @@ class TermBatch(NamedTuple):
     ``ok`` holds — infeasible probes map to ``+inf`` afterwards, so
     garbage rows are never read; a term that would raise on them (the
     barrier, outside the ``[0, 1]`` box) skips them.
+
+    On the sparse path (``linalg="sparse"`` with an adjacency support)
+    no dense matrix is built: ``stack`` is ``None`` and ``entries``
+    holds each probe's support values in ``np.nonzero(support)`` order;
+    ``diag`` is then 0 where ``(i, i)`` is unsupported.
     """
 
-    pis: np.ndarray        # (k, M) stationary distributions
-    stack: np.ndarray      # (k, M, M) transition matrices
-    diag: np.ndarray       # (k, M) diagonals p_ii
-    exposures: np.ndarray  # (k, M) per-PoI exposure times E-bar_i
-    ok: np.ndarray         # (k,) feasibility mask
+    pis: np.ndarray                  # (k, M) stationary distributions
+    stack: Optional[np.ndarray]      # (k, M, M) transition matrices
+    diag: np.ndarray                 # (k, M) diagonals p_ii
+    exposures: np.ndarray            # (k, M) per-PoI exposure times E-bar_i
+    ok: np.ndarray                   # (k,) feasibility mask
+    entries: Optional[np.ndarray] = None  # (k, nnz) support values
 
 
 class CostTerm(abc.ABC):
@@ -256,6 +279,15 @@ class SupportCoverageTerm(ObjectiveTerm):
         # (entries off the support contribute nothing).
         self._sup_j, self._sup_k = np.nonzero(support)
         self._sup_t = travel_times[self._sup_j, self._sup_k]
+        # Entry -> position of its leg among the support values (the
+        # order of TermBatch.entries); every entry must sit on the
+        # support.
+        support_flat = self._sup_j * size + self._sup_k
+        self._entry_pos = np.searchsorted(support_flat, self._flat_leg)
+        if not np.array_equal(
+            support_flat.take(self._entry_pos, mode="clip"), self._flat_leg
+        ):
+            raise ValueError("pass-by entries must lie on the support")
 
     def _deviations(self, pi: np.ndarray, p: np.ndarray) -> np.ndarray:
         weights = pi[self._j] * p[self._j, self._k] * self._t_val
@@ -285,19 +317,17 @@ class SupportCoverageTerm(ObjectiveTerm):
         return float(0.5 * np.sum(self.alpha * c * c))
 
     def batch_value(self, batch: TermBatch) -> np.ndarray:
-        pis, stack = batch.pis, batch.stack
+        pis, entries = batch.pis, batch.entries
+        if entries is None:
+            entries = batch.stack[:, self._sup_j, self._sup_k]
         # sum_jl pi_j p_jl T_jl over supported legs only: the dense
         # einsum is an O(n M^2) scan that dominates at large M, while
         # off-support entries of a valid stack are identically zero.
-        totals = (
-            pis[:, self._sup_j]
-            * stack[:, self._sup_j, self._sup_k]
-            * self._sup_t
-        ).sum(axis=1)
-        values = np.empty(stack.shape[0])
-        for n in range(stack.shape[0]):
+        totals = (pis[:, self._sup_j] * entries * self._sup_t).sum(axis=1)
+        values = np.empty(entries.shape[0])
+        for n in range(entries.shape[0]):
             weights = (
-                pis[n, self._j] * stack[n, self._j, self._k] * self._t_val
+                pis[n, self._j] * entries[n, self._entry_pos] * self._t_val
             )
             covered = np.bincount(
                 self._i, weights=weights, minlength=self._size
@@ -431,12 +461,13 @@ class EnergyTerm(ObjectiveTerm):
     """
 
     def __init__(self, distances: np.ndarray, weight: float,
-                 target: float = 0.0) -> None:
+                 target: float = 0.0, support=None) -> None:
         self.distances = check_square("distances", distances)
         if weight < 0:
             raise ValueError(f"weight must be >= 0, got {weight}")
         self.weight = float(weight)
         self.target = float(target)
+        self._legs = _support_legs(support)
 
     def mean_travel(self, state: ChainState) -> float:
         """``D = sum_i pi_i sum_{j != i} p_ij d_ij`` (d_ii = 0)."""
@@ -447,9 +478,15 @@ class EnergyTerm(ObjectiveTerm):
         return float(0.5 * self.weight * gap * gap)
 
     def batch_value(self, batch: TermBatch) -> np.ndarray:
-        travel = np.einsum(
-            "ki,kij,ij->k", batch.pis, batch.stack, self.distances
-        )
+        if batch.stack is None:
+            j, k = _entry_legs(self, self._legs)
+            travel = (
+                batch.pis[:, j] * batch.entries * self.distances[j, k]
+            ).sum(axis=1)
+        else:
+            travel = np.einsum(
+                "ki,kij,ij->k", batch.pis, batch.stack, self.distances
+            )
         gap = travel - self.target
         return 0.5 * self.weight * gap * gap
 
@@ -469,10 +506,11 @@ class EntropyTerm(ObjectiveTerm):
     rate, making the sensor's location harder for an adversary to predict.
     """
 
-    def __init__(self, weight: float) -> None:
+    def __init__(self, weight: float, support=None) -> None:
         if weight < 0:
             raise ValueError(f"weight must be >= 0, got {weight}")
         self.weight = float(weight)
+        self._legs = _support_legs(support)
 
     @staticmethod
     def _row_plogp(p: np.ndarray) -> np.ndarray:
@@ -487,12 +525,11 @@ class EntropyTerm(ObjectiveTerm):
         return -self.weight * self.entropy(state)
 
     def batch_value(self, batch: TermBatch) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(
-                batch.stack > 0.0,
-                batch.stack * np.log(batch.stack),
-                0.0,
-            ).sum(axis=2)
+        if batch.stack is None:
+            j, _ = _entry_legs(self, self._legs)
+            weighted = batch.pis[:, j] * self._row_plogp(batch.entries)
+            return -self.weight * -weighted.sum(axis=1)
+        plogp = self._row_plogp(batch.stack).sum(axis=2)
         return -self.weight * (
             -np.einsum("ki,ki->k", batch.pis, plogp)
         )

@@ -136,9 +136,11 @@ class SparseStationaryTemplate:
     * diagonal entries ``A[i, i] = 1 - p_ii`` for ``i < M - 1``,
     * the bordered last row is identically one.
 
-    ``solve(matrix)`` returns the sanitized stationary distribution,
-    identical to :func:`sparse_stationary` up to floating-point
-    assembly order.
+    The template reads *support values*: a matrix's entries on the
+    support in ``np.nonzero(support)`` order (:meth:`values` gathers
+    them from a dense matrix).  ``solve(matrix)`` returns the sanitized
+    stationary distribution, identical to :func:`sparse_stationary` up
+    to floating-point assembly order.
     """
 
     def __init__(self, support: np.ndarray) -> None:
@@ -164,25 +166,42 @@ class SparseStationaryTemplate:
         )
         csc = coo.tocsc()
         self.size = count
-        self._source_j = j[off]
-        self._source_k = k[off]
-        self._offdiag_count = int(off.sum())
+        self.nnz = j.size
+        self._flat = j * count + k
+        self._off_slots = np.flatnonzero(off)
+        self._diag_slots = np.flatnonzero(j == k)
+        self._diag_rows = j[self._diag_slots]
         self._order = np.asarray(csc.data, dtype=np.int64) - 1
         self._system = csc
         self._rhs = np.zeros(count)
         self._rhs[-1] = 1.0
 
-    def _fill(self, matrix: np.ndarray) -> None:
+    def values(self, matrices: np.ndarray) -> np.ndarray:
+        """Support values of a ``(M, M)`` matrix or ``(k, M, M)`` stack."""
+        matrices = np.asarray(matrices, dtype=float)
+        return matrices.reshape(*matrices.shape[:-2], -1)[..., self._flat]
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The ``(M, M)`` matrix of ``(nnz,)`` values, zero off support."""
+        matrix = np.zeros(self.size * self.size)
+        matrix[self._flat] = values
+        return matrix.reshape(self.size, self.size)
+
+    def diagonals(self, values: np.ndarray) -> np.ndarray:
+        """``p_ii`` of ``(..., nnz)`` values; 0 where unsupported."""
+        out = np.zeros(values.shape[:-1] + (self.size,))
+        out[..., self._diag_rows] = values[..., self._diag_slots]
+        return out
+
+    def _fill(self, values: np.ndarray) -> None:
         count = self.size
+        offdiag = self._off_slots.size
         data = np.empty(self._order.size)
-        data[: self._offdiag_count] = -matrix[
-            self._source_j, self._source_k
-        ]
-        diag = np.arange(count - 1)
-        data[self._offdiag_count: self._offdiag_count + count - 1] = (
-            1.0 - matrix[diag, diag]
+        data[:offdiag] = -values[self._off_slots]
+        data[offdiag: offdiag + count - 1] = (
+            1.0 - self.diagonals(values)[:-1]
         )
-        data[self._offdiag_count + count - 1:] = 1.0
+        data[offdiag + count - 1:] = 1.0
         self._system.data = data[self._order]
 
     def solve(self, matrix: np.ndarray) -> np.ndarray:
@@ -195,7 +214,7 @@ class SparseStationaryTemplate:
                 f"matrix size {matrix.shape[0]} != template size "
                 f"{self.size}"
             )
-        self._fill(matrix)
+        self._fill(self.values(matrix))
         factors = _factorize(self._system)
         return _sanitize(factors.solve(self._rhs))
 
@@ -205,8 +224,11 @@ class SparseStationaryTemplate:
     IR_TOL = 1e-14
     IR_MAX = 12
 
-    def solve_batch(self, stack: np.ndarray, indices) -> dict:
-        """Stationary distributions for selected members of ``stack``.
+    def solve_batch(self, probes: np.ndarray, indices) -> dict:
+        """Stationary distributions for selected rows of ``probes``.
+
+        ``probes`` holds support values, shape ``(k, nnz)`` (gather a
+        dense stack with :meth:`values`).
 
         Line-search probes share one support pattern and sit close
         together along a ray, so instead of one sparse LU per probe this
@@ -218,7 +240,7 @@ class SparseStationaryTemplate:
         probes after it); singular probes are skipped.
 
         Returns ``{index: pi}`` for the probes that solved.  The result
-        depends only on ``stack`` and ``indices`` — no state persists
+        depends only on ``probes`` and ``indices`` — no state persists
         across calls.
         """
         from repro.markov.stationary import _sanitize
@@ -227,7 +249,7 @@ class SparseStationaryTemplate:
         factors = None
         rhs = self._rhs
         for index in indices:
-            self._fill(stack[index])
+            self._fill(probes[index])
             if factors is not None:
                 x = factors.solve(rhs)
                 for _ in range(self.IR_MAX):

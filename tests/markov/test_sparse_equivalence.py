@@ -110,7 +110,9 @@ class TestSparseStationaryTemplate:
             other,
         ])
         template = SparseStationaryTemplate(support)
-        solved = template.solve_batch(stack, range(len(stack)))
+        solved = template.solve_batch(
+            template.values(stack), range(len(stack))
+        )
         assert sorted(solved) == [0, 1, 2, 3]
         for index, pi in solved.items():
             np.testing.assert_allclose(
