@@ -17,9 +17,7 @@ Three claims are measured (see ``docs/performance.md``):
 3. **Speedup** — one descent-iteration workload (state build, cost
    evaluation, projected gradient, one stacked 8-probe line-search
    batch) is at least ``SPEEDUP_FLOOR``x faster sparse than dense at
-   ``M >= 256``.  Each cell also times the incremental
-   :class:`~repro.markov.incremental.IncrementalCoreTracker` acquire for
-   a 4-row perturbation against a from-scratch refactorization.
+   ``M >= 256``.
 
 Results are written to ``benchmarks/results/BENCH_largeM.json``.
 
@@ -59,7 +57,6 @@ from repro import (  # noqa: E402
 )
 from repro.core.initializers import paper_random_matrix  # noqa: E402
 from repro.core.linesearch import feasible_step_bound  # noqa: E402
-from repro.markov.incremental import IncrementalCoreTracker  # noqa: E402
 
 DEFAULT_OUT = REPO / "benchmarks" / "results" / "BENCH_largeM.json"
 
@@ -151,29 +148,6 @@ def bench_cell(family: str, size: int, seed: int, repeats: int = 3):
            f"{family}/{size}: batch value rel diff {vals_diff:.2e} "
            "above 1e-9")
 
-    # Incremental acquire for a 4-row perturbation vs full refactor.
-    tracker = IncrementalCoreTracker()
-    tracker.acquire(matrix)
-    perturbed = matrix.copy()
-    rng = np.random.default_rng(seed + 2)
-    support = topology.adjacency
-    for row in rng.choice(size, size=4, replace=False):
-        entries = np.nonzero(support[row])[0]
-        nudge = rng.normal(size=entries.size)
-        nudge -= nudge.mean()
-        scale = 1e-3 * perturbed[row, entries].min() / np.abs(nudge).max()
-        perturbed[row, entries] += scale * nudge
-    started = time.perf_counter()
-    tracker.acquire(perturbed)
-    incremental_seconds = time.perf_counter() - started
-    _check(tracker.incremental_updates == 1,
-           f"{family}/{size}: 4-row perturbation did not take the "
-           "incremental path")
-    fresh = IncrementalCoreTracker()
-    started = time.perf_counter()
-    fresh.acquire(perturbed)
-    refactor_seconds = time.perf_counter() - started
-
     speedup = timings["dense"] / timings["sparse"]
     return {
         "family": family,
@@ -183,11 +157,6 @@ def bench_cell(family: str, size: int, seed: int, repeats: int = 3):
         "dense_seconds": timings["dense"],
         "sparse_seconds": timings["sparse"],
         "speedup": speedup,
-        "incremental_seconds": incremental_seconds,
-        "refactor_seconds": refactor_seconds,
-        "incremental_speedup": refactor_seconds / max(
-            incremental_seconds, 1e-12
-        ),
         "pi_diff": pi_diff,
         "u_eps_rel_diff": float(u_diff),
         "gradient_rel_diff": grad_diff,
@@ -245,9 +214,7 @@ def main(argv=None) -> int:
             print(
                 f"  dense {cell['dense_seconds']:.3f}s, sparse "
                 f"{cell['sparse_seconds']:.3f}s -> "
-                f"{cell['speedup']:.1f}x; incremental acquire "
-                f"{cell['incremental_speedup']:.1f}x faster than "
-                f"refactor; grad rel diff "
+                f"{cell['speedup']:.1f}x; grad rel diff "
                 f"{cell['gradient_rel_diff']:.1e}"
             )
         if not args.check_only:
@@ -282,10 +249,7 @@ def main(argv=None) -> int:
             "the scalable sparse-support families; equivalence of pi, "
             "u_eps, projected gradients, and batch values is asserted "
             "per cell; cells with M >= 256 carry the >= "
-            f"{SPEEDUP_FLOOR:.0f}x acceptance floor; "
-            "incremental_speedup compares an IncrementalCoreTracker "
-            "acquire for a 4-row perturbation against a from-scratch "
-            "refactorization"
+            f"{SPEEDUP_FLOOR:.0f}x acceptance floor"
         ),
         "cells": cells,
     }

@@ -132,11 +132,11 @@ class CoverageCost:
     """Cost function of the coverage-scheduling problem on a topology.
 
     ``linalg`` selects the linear-algebra backend: ``"dense"`` (the
-    bit-exact reference), ``"sparse"`` (large-``M``: sparse core
-    factorizations, no materialized ``Z``, incremental updates across
-    accepted steps), or ``"auto"`` (the default — see
-    :func:`resolve_linalg`; paper-scale dense topologies always resolve
-    dense, so default results are unchanged).
+    bit-exact reference), ``"sparse"`` (large-``M``: each chain state
+    owns one sparse core factorization, no materialized ``Z``), or
+    ``"auto"`` (the default — see :func:`resolve_linalg`; paper-scale
+    dense topologies always resolve dense, so default results are
+    unchanged).
 
     Independently of ``linalg``, a topology carrying an adjacency mask
     gets the support-aware term set: the compact ``O(E)`` coverage term
@@ -203,7 +203,6 @@ class CoverageCost:
                 )
             entries.append((name, 1.0, term))
         self._sum = CostSum(entries)
-        self._tracker = None  # lazily-built IncrementalCoreTracker
         self._stationary_template = None  # lazily-built, sparse mode
 
     # ------------------------------------------------------------------ #
@@ -273,16 +272,6 @@ class CoverageCost:
         """Eq. 11 projection, support-restricted when a mask is present."""
         return project_row_sum_zero(matrix, self._support)
 
-    def _get_tracker(self):
-        """The cost's incremental ``(pi, Z)``-solve tracker (sparse mode)."""
-        if self._tracker is None:
-            from repro.markov.incremental import IncrementalCoreTracker
-
-            self._tracker = IncrementalCoreTracker(
-                stationary_solver=self._get_stationary_template(),
-            )
-        return self._tracker
-
     def _get_stationary_template(self):
         """Pre-indexed stationary system for the support pattern.
 
@@ -309,13 +298,12 @@ class CoverageCost:
     def build_state(self, matrix: np.ndarray, check: bool = True) -> ChainState:
         """Build the :class:`ChainState` for ``matrix`` under this cost.
 
-        The dense path is exactly :meth:`ChainState.from_matrix`; the
-        sparse path routes through the cost's
-        :class:`~repro.markov.incremental.IncrementalCoreTracker`, so
-        nearby iterates (accepted descent steps) share and update one
-        factorization.  With a support mask, probability on infeasible
-        legs is rejected up front — it would silently bypass the
-        support-restricted barrier and coverage terms otherwise.
+        Both paths are :meth:`ChainState.from_matrix`; the sparse one
+        solves ``pi`` through the cost's stationary template when there
+        is a support, and the state owns its core factorization.  With a
+        support mask, probability on infeasible legs is rejected up
+        front — it would silently bypass the support-restricted barrier
+        and coverage terms otherwise.
         """
         matrix = np.asarray(matrix, dtype=float)
         if check and self._support is not None and np.any(
@@ -326,11 +314,12 @@ class CoverageCost:
                 "topology's adjacency support"
             )
         if self.resolved_linalg == "sparse":
+            template = self._get_stationary_template()
             return ChainState.from_matrix(
                 matrix,
                 check=check,
                 linalg="sparse",
-                solver_provider=self._get_tracker(),
+                stationary=None if template is None else template.solve,
             )
         return ChainState.from_matrix(matrix, check=check)
 
@@ -338,35 +327,28 @@ class CoverageCost:
                          z: Optional[np.ndarray]) -> ChainState:
         """Assemble a probe's state from batch-evaluated parts.
 
-        Dense parts carry their ``Z``; sparse parts (``z=None``) get a
-        core solver from the incremental tracker — one low-rank update
-        when the probe is near the tracker's base, so gradients at
-        accepted steps reuse the line search's factorization work.
+        Dense parts carry their ``Z``; sparse parts (``z=None``) make a
+        sparse state, which factors its own core on first use.
         """
         if z is not None:
             return ChainState.from_parts(p, pi, z)
-        _, solver = self._get_tracker().acquire(p, pi)
-        return ChainState.from_parts(
-            p, pi, linalg="sparse", solver=solver
-        )
+        return ChainState.from_parts(p, pi, linalg="sparse")
 
     def state(self, matrix: np.ndarray) -> ChainState:
         """Build the :class:`ChainState` for ``matrix``."""
         return self.build_state(matrix)
 
     def __getstate__(self):
-        """Drop the tracker for pickling: ``splu`` objects don't travel.
+        """Drop the stationary template for pickling: worker processes
+        rebuild it lazily, which is cheap.
 
-        Worker processes (the process execution backend) rebuild their
-        own tracker lazily on first sparse state build.  When a
-        :func:`repro.exec.shm.transport_session` is active (the shm
-        transport), the support mask held directly by the cost is
+        When a :func:`repro.exec.shm.transport_session` is active (the
+        shm transport), the support mask held directly by the cost is
         additionally swapped for a shared-memory handle; plain pickling
         is unchanged.
         """
         state = self.__dict__.copy()
-        state["_tracker"] = None
-        state["_stationary_template"] = None  # cheap lazy rebuild
+        state["_stationary_template"] = None
         from repro.exec.shm import active_session, share_array
 
         if active_session() is not None:
@@ -828,19 +810,21 @@ class RayBatch:
 
 
 class MultiRayBatch:
-    """Lockstep evaluation of several rays through one stacked call.
+    """Lockstep evaluation of several rays, one stage at a time.
 
     Each ray is a :class:`RayBatch` with its own base matrix, direction,
-    and winner tracking.  :meth:`evaluate` concatenates every
-    participating ray's probes into a single stack (``(k, M, M)``, or
-    ``(k, nnz)`` support values on the sparse path), runs one
-    :meth:`CoverageCost.batch_evaluate`, and demultiplexes the
-    per-ray slices back through each ray's ``_observe`` — the exact
-    first-strictly-best rule the single-ray path applies.  Because
-    ``batch_evaluate`` treats every stack member independently, the
-    values (and therefore each ray's recorded winner) are bit-identical
-    to evaluating the rays one at a time; only the Python-level and
-    LAPACK dispatch overhead is amortized across rays.
+    and winner tracking.  On the dense path :meth:`evaluate`
+    concatenates every participating ray's ``(k, M, M)`` probes into a
+    single stack, runs one :meth:`CoverageCost.batch_evaluate`, and
+    demultiplexes the per-ray slices back through each ray's
+    ``_observe`` — the exact first-strictly-best rule the single-ray
+    path applies.  Because the dense ``batch_evaluate`` treats every
+    stack member independently, the values (and therefore each ray's
+    recorded winner) are bit-identical to evaluating the rays one at a
+    time; only the Python-level and LAPACK dispatch overhead is
+    amortized across rays.  Support-value probes (the sparse path) are
+    not independent within a stack, so there each ray gets its own
+    call, which is exactly the single-ray evaluation.
 
     Used by :mod:`repro.core.lockstep` to fuse the line searches of all
     active multi-start trajectories at each descent iteration.
@@ -858,28 +842,43 @@ class MultiRayBatch:
     def __len__(self) -> int:
         return len(self.rays)
 
-    def _fused(self, steps_per_ray):
-        """Concatenate participating rays' probes; yield slice metadata.
+    def _evaluated(self, steps_per_ray):
+        """Evaluate the participating rays' probes; per-ray results.
 
         ``steps_per_ray`` aligns with :attr:`rays`; ``None`` entries sit
-        out this stage.  Returns ``(parts, fused_results, probes)`` where
-        ``parts`` is a list of ``(index, steps, lo, hi)`` slice bounds.
+        out this stage.  Returns ``(index, steps, probes, values, pis,
+        zs, ok)`` per participating ray.  Dense probes go through one
+        fused :meth:`CoverageCost.batch_evaluate`.  Support-value probes
+        are evaluated one ray per call: the stationary template's
+        iterative refinement carries its reference factorization from
+        probe to probe, so a fused stack would let one ray's probes
+        steer another's last bits.
         """
         parts = []
-        chunks = []
-        offset = 0
         for index, steps in enumerate(steps_per_ray):
             if steps is None:
                 continue
             steps = np.asarray(steps, dtype=float)
-            chunk = self.rays[index]._probes(steps)
-            parts.append((index, steps, offset, offset + steps.size))
-            chunks.append(chunk)
+            parts.append((index, steps, self.rays[index]._probes(steps)))
+        if not parts:
+            return []
+        if self._cost._probe_template() is not None:
+            return [
+                (index, steps, probes) + self._cost.batch_evaluate(probes)
+                for index, steps, probes in parts
+            ]
+        fused = np.concatenate([probes for _, _, probes in parts], axis=0)
+        values, pis, zs, ok = self._cost.batch_evaluate(fused)
+        out = []
+        offset = 0
+        for index, steps, probes in parts:
+            span = slice(offset, offset + steps.size)
+            out.append((
+                index, steps, probes, values[span], pis[span],
+                None if zs is None else zs[span], ok[span],
+            ))
             offset += steps.size
-        if not chunks:
-            return parts, None, None
-        fused = np.concatenate(chunks, axis=0)
-        return parts, self._cost.batch_evaluate(fused), fused
+        return out
 
     def evaluate(self, steps_per_ray) -> List[Optional[np.ndarray]]:
         """One fused line-search stage across the rays.
@@ -891,16 +890,8 @@ class MultiRayBatch:
         evaluated its steps alone.
         """
         out: List[Optional[np.ndarray]] = [None] * len(self.rays)
-        fused = self._fused(steps_per_ray)
-        if fused[1] is None:
-            return out
-        parts, (values, pis, zs, ok), probes = fused
-        for index, steps, lo, hi in parts:
-            out[index] = self.rays[index]._observe(
-                steps, probes[lo:hi], values[lo:hi],
-                pis[lo:hi], None if zs is None else zs[lo:hi],
-                ok[lo:hi],
-            )
+        for index, steps, *evaluated in self._evaluated(steps_per_ray):
+            out[index] = self.rays[index]._observe(steps, *evaluated)
         return out
 
     def probe_states(self, step_per_ray) -> List[Optional[tuple]]:
@@ -917,19 +908,17 @@ class MultiRayBatch:
             None if step is None else np.asarray([float(step)])
             for step in step_per_ray
         ]
-        fused = self._fused(steps_per_ray)
-        if fused[1] is None:
-            return out
-        parts, (values, pis, zs, ok), probes = fused
-        for index, _, lo, _ in parts:
-            if not ok[lo] or not np.isfinite(values[lo]):
-                out[index] = (float(values[lo]), None)
+        for index, _, probes, values, pis, zs, ok in self._evaluated(
+            steps_per_ray
+        ):
+            if not ok[0] or not np.isfinite(values[0]):
+                out[index] = (float(values[0]), None)
             else:
                 state = self._cost.state_from_parts(
-                    self.rays[index]._matrix(probes[lo]), pis[lo],
-                    None if zs is None else zs[lo],
+                    self.rays[index]._matrix(probes[0]), pis[0],
+                    None if zs is None else zs[0],
                 )
-                out[index] = (float(values[lo]), state)
+                out[index] = (float(values[0]), state)
         return out
 
 

@@ -24,8 +24,11 @@ path holds by construction:
   :class:`~repro.core.linesearch.TrisectionState` and each ray's
   :meth:`~repro.core.cost.RayBatch._observe` winner rule, which are the
   very code the serial path executes;
-* ``batch_evaluate`` treats stack members independently, so fused probe
-  values equal single-ray values bitwise.
+* the dense ``batch_evaluate`` treats stack members independently, so
+  fused probe values equal single-ray values bitwise; support-value
+  probes (the sparse path) share a stationary solve's refinement
+  reference within a stack, so :class:`~repro.core.cost.MultiRayBatch`
+  evaluates them one ray per call, which is the single-ray evaluation.
 
 Equivalence is tested per start, per iteration in
 ``tests/core/test_lockstep.py``; the speedup is measured by

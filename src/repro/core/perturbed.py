@@ -52,6 +52,7 @@ from repro.core.initializers import paper_random_matrix, uniform_matrix
 from repro.core.linesearch import feasible_step_bound, trisection_search
 from repro.core.options import OptimizerOptions, SearchOptions
 from repro.core.result import IterationRecord, OptimizationResult
+from repro.core.state import ChainState
 from repro.utils import perf
 from repro.utils.rng import (
     RandomState,
@@ -62,7 +63,7 @@ from repro.utils.rng import (
 
 #: Schema tag of :meth:`PerturbedWalk.snapshot` payloads (the service's
 #: mid-run job checkpoints, :mod:`repro.service`).
-WALK_SNAPSHOT_SCHEMA = "repro/walk-snapshot/v1"
+WALK_SNAPSHOT_SCHEMA = "repro/walk-snapshot/v2"
 
 #: Stop reasons that mean the walk converged (rather than ran out).
 CONVERGED_REASONS = ("stalled", "gradient_tol", "local_optimum")
@@ -208,17 +209,21 @@ class PerturbedWalk:
         self.cost = cost
         self.options = options
         self.rng = as_generator(rng)
-        if initial is not None:
-            matrix = np.array(initial, dtype=float)
-        elif options.STEP_POLICY == "constant":
-            matrix = uniform_matrix(cost.size, support=cost.support)
+        if isinstance(initial, ChainState):  # a restored iterate
+            self.state = initial
         else:
-            matrix = paper_random_matrix(
-                cost.size, seed=self.rng, support=cost.support
-            )
-        self.state = cost.build_state(matrix)
+            if initial is not None:
+                matrix = np.array(initial, dtype=float)
+            elif options.STEP_POLICY == "constant":
+                matrix = uniform_matrix(cost.size, support=cost.support)
+            else:
+                matrix = paper_random_matrix(
+                    cost.size, seed=self.rng, support=cost.support
+                )
+            self.state = cost.build_state(matrix)
         self.breakdown = cost.evaluate(self.state)
         self.best_matrix = self.state.p.copy()
+        self.best_pi = self.state.pi
         self.best_u_eps = self.breakdown.u_eps
         self.best_breakdown = self.breakdown
         self.history = []
@@ -381,6 +386,7 @@ class PerturbedWalk:
         if improved:
             self.best_u_eps = self.breakdown.u_eps
             self.best_matrix = self.state.p.copy()
+            self.best_pi = self.state.pi
             self.best_breakdown = self.breakdown
         # Annealed walks stall on the best cost, constant steps on the
         # per-step improvement; trisection greedy walks stop at dt* = 0.
@@ -425,20 +431,25 @@ class PerturbedWalk:
         Valid between :meth:`complete_iteration` and the next
         :meth:`begin_iteration` (per-iteration scratch like the current
         ray is deliberately not captured).  The snapshot carries the
-        current and best iterates, the bookkeeping counters, the
-        recorded history, and the RNG's exact stream position
-        (:func:`~repro.utils.rng.generator_state`); :meth:`restore`
-        rebuilds derived state — ``(pi, Z)`` factorizations and cost
-        breakdowns — from scratch, which on the dense reference path is
-        bit-identical to the line-search states the walk carried (the
-        invariant ``tests/core/test_reuse_and_perf.py`` pins), so a
-        restored walk continues the trajectory bit for bit.
+        current and best iterates with their stationary distributions,
+        the bookkeeping counters, the recorded history, and the RNG's
+        exact stream position (:func:`~repro.utils.rng.generator_state`).
+        :meth:`restore` rebuilds the rest — core factorizations and cost
+        breakdowns — so a restored walk continues the trajectory bit for
+        bit: on the dense reference path a scratch build equals the
+        line-search states the walk carried (the invariant
+        ``tests/core/test_reuse_and_perf.py`` pins); on the sparse path a
+        line-search ``pi`` (iteratively refined) can differ from a
+        scratch solve in the last bits, so there the carried ``pi`` is
+        reused.
         """
         return {
             "schema": WALK_SNAPSHOT_SCHEMA,
             "iteration": int(self.iteration),
             "matrix": self.state.p.tolist(),
+            "pi": self.state.pi.tolist(),
             "best_matrix": np.asarray(self.best_matrix).tolist(),
+            "best_pi": np.asarray(self.best_pi).tolist(),
             "best_u_eps": float(self.best_u_eps),
             "stall": int(self.stall),
             "stop_reason": self.stop_reason,
@@ -473,8 +484,8 @@ class PerturbedWalk:
                 f"{schema!r}"
             )
         matrix = np.asarray(snapshot["matrix"], dtype=float)
-        walk = cls(cost, matrix, generator_from_state(snapshot["rng"]),
-                   options)
+        walk = cls(cost, _restored_state(cost, matrix, snapshot["pi"]),
+                   generator_from_state(snapshot["rng"]), options)
         walk.iteration = int(snapshot["iteration"])
         walk.stall = int(snapshot["stall"])
         walk.stop_reason = snapshot["stop_reason"]
@@ -483,16 +494,14 @@ class PerturbedWalk:
         walk.accept_factorizations = int(
             snapshot["accept_factorizations"]
         )
-        best_matrix = np.asarray(snapshot["best_matrix"], dtype=float)
+        best = _restored_state(
+            cost, np.asarray(snapshot["best_matrix"], dtype=float),
+            snapshot["best_pi"],
+        )
+        walk.best_matrix = best.p.copy()
+        walk.best_pi = best.pi
         walk.best_u_eps = float(snapshot["best_u_eps"])
-        if np.array_equal(best_matrix, matrix):
-            walk.best_matrix = walk.state.p.copy()
-            walk.best_breakdown = walk.breakdown
-        else:
-            walk.best_matrix = best_matrix
-            walk.best_breakdown = cost.evaluate(
-                cost.build_state(best_matrix)
-            )
+        walk.best_breakdown = cost.evaluate(best)
         walk.history = [
             IterationRecord(**record) for record in snapshot["history"]
         ]
@@ -522,6 +531,17 @@ class PerturbedWalk:
             checkpoints=self.checkpoints,
             perf=run_perf,
         )
+
+
+def _restored_state(cost: CoverageCost, matrix, pi) -> ChainState:
+    """The state of a snapshot iterate: a scratch build on the dense
+    path, the carried ``pi`` with a fresh core factorization on the
+    sparse path."""
+    if cost.resolved_linalg == "sparse":
+        return cost.state_from_parts(
+            matrix, np.asarray(pi, dtype=float), None
+        )
+    return cost.build_state(matrix)
 
 
 def advance_walk(

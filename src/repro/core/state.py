@@ -18,11 +18,11 @@ Two hot-path optimizations live here:
 Large-``M`` states (``linalg="sparse"``) never materialize ``Z``: the
 ``z`` field stays ``None`` and every ``Z @ v`` / ``v^T Z`` product routes
 through targeted solves against a sparse factorization of the core
-(:mod:`repro.markov.sparse`), optionally shared and incrementally updated
-across iterates by an :class:`~repro.markov.incremental.
-IncrementalCoreTracker`.  Small-``M`` reference paths that genuinely need
-the full matrix call :meth:`ChainState.dense_z`, which materializes and
-caches it on demand.
+(:mod:`repro.markov.sparse`).  Each sparse state owns that
+factorization, built lazily on its first core solve, so its values
+depend only on its matrix and its ``pi``.  Small-``M`` reference paths
+that genuinely need the full matrix call :meth:`ChainState.dense_z`,
+which materializes and caches it on demand.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class ChainState:
         matrix: np.ndarray,
         check: bool = True,
         linalg: str = "dense",
-        solver_provider=None,
+        stationary=None,
     ):
         """Build the state for ``matrix``.
 
@@ -88,11 +88,10 @@ class ChainState:
         which is verified unconditionally because the downstream exposure
         formulas divide by ``pi``.
 
-        ``linalg="sparse"`` factors the core sparsely and leaves ``z``
-        unmaterialized; ``solver_provider`` (an object with
-        ``acquire(matrix) -> (pi, solver)``, e.g. an
-        :class:`~repro.markov.incremental.IncrementalCoreTracker`) lets
-        the factorization be shared across nearby iterates.
+        ``linalg="sparse"`` leaves ``z`` unmaterialized: ``pi`` comes
+        from ``stationary`` (a ``matrix -> pi`` solver, by default
+        :func:`~repro.markov.sparse.sparse_stationary`), and the state's
+        own sparse core factorization is built on its first core solve.
         """
         matrix = check_square("matrix", matrix)
         if check and not is_row_stochastic(matrix):
@@ -101,23 +100,18 @@ class ChainState:
                 f"{np.asarray(matrix).sum(axis=1)}"
             )
         if linalg == "sparse":
-            if solver_provider is not None:
-                pi, solver = solver_provider.acquire(matrix)
-            else:
-                from repro.markov.sparse import (
-                    sparse_fundamental_and_stationary,
-                )
+            if stationary is None:
+                from repro.markov.sparse import sparse_stationary
 
-                solver, pi = sparse_fundamental_and_stationary(matrix)
+                stationary = sparse_stationary
+            pi = stationary(matrix)
             if np.any(pi <= 0):
                 raise ValueError(
                     "stationary distribution has non-positive entries "
                     f"(min {pi.min():.3g}); the chain is not ergodic"
                 )
             perf.count("state_builds")
-            state = cls(p=matrix, pi=pi, z=None, linalg="sparse")
-            state._lu_cache.append(solver)
-            return state
+            return cls(p=matrix, pi=pi, z=None, linalg="sparse")
         pi = stationary_via_linear_solve(matrix)
         if np.any(pi <= 0):
             raise ValueError(
@@ -141,7 +135,6 @@ class ChainState:
         pi: np.ndarray,
         z: Optional[np.ndarray] = None,
         linalg: str = "dense",
-        solver=None,
     ):
         """Assemble a state from already-computed ``(pi, Z)``.
 
@@ -153,9 +146,8 @@ class ChainState:
         trajectories.  ``p``/``pi``/``z`` are trusted (callers own
         their consistency).
 
-        Sparse probes carry no ``z``; pass ``linalg="sparse"`` and
-        optionally an already-built core ``solver`` (else one is
-        factored lazily on first :meth:`solve_core`).
+        Sparse probes carry no ``z``; pass ``linalg="sparse"`` and the
+        state factors its core lazily on first :meth:`solve_core`.
         """
         p = check_square("p", p)
         pi = np.asarray(pi, dtype=float)
@@ -181,15 +173,12 @@ class ChainState:
         # BLAS/einsum kernels pick SIMD paths by memory alignment, and a
         # misaligned view can yield ulp-different gradients than the
         # bitwise-equal freshly allocated arrays of ``from_matrix``.
-        state = cls(
+        return cls(
             p=np.array(p, dtype=float),
             pi=np.array(pi, dtype=float),
             z=None if z is None else np.array(z, dtype=float),
             linalg=linalg,
         )
-        if solver is not None:
-            state._lu_cache.append(solver)
-        return state
 
     @property
     def size(self) -> int:
@@ -241,9 +230,9 @@ class ChainState:
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(I - P + W) x = rhs`` reusing the state's factors.
 
-        States assembled via :meth:`from_parts` carry no factors; the
-        core is factored lazily on first use (counted as one
-        factorization).
+        Sparse states and states assembled via :meth:`from_parts` carry
+        no factors; the core is factored lazily on first use (counted as
+        one factorization, or one sparse factorization).
         """
         return self._solver().solve(rhs)
 

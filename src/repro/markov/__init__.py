@@ -30,7 +30,6 @@ from repro.markov.sparse import (
     sparse_fundamental_and_stationary,
     sparse_stationary,
 )
-from repro.markov.incremental import IncrementalCoreTracker, WoodburyCoreSolver
 from repro.markov.passage import (
     first_passage_times,
     first_passage_times_by_solve,
@@ -58,8 +57,6 @@ __all__ = [
     "SparseCoreSolver",
     "sparse_fundamental_and_stationary",
     "sparse_stationary",
-    "IncrementalCoreTracker",
-    "WoodburyCoreSolver",
     "first_passage_times",
     "first_passage_times_by_solve",
     "stationary_derivative",

@@ -172,7 +172,8 @@ class SparseStationaryTemplate:
         self._diag_slots = np.flatnonzero(j == k)
         self._diag_rows = j[self._diag_slots]
         self._order = np.asarray(csc.data, dtype=np.int64) - 1
-        self._system = csc
+        self._indices = csc.indices
+        self._indptr = csc.indptr
         self._rhs = np.zeros(count)
         self._rhs[-1] = 1.0
 
@@ -193,7 +194,12 @@ class SparseStationaryTemplate:
         out[..., self._diag_rows] = values[..., self._diag_slots]
         return out
 
-    def _fill(self, values: np.ndarray) -> None:
+    def _fill(self, values: np.ndarray):
+        """A fresh CSC system for ``values`` on the fixed pattern.
+
+        Nothing is written to the template, so threads sharing it (a
+        cost shared by a thread-backend multi-start) never race.
+        """
         count = self.size
         offdiag = self._off_slots.size
         data = np.empty(self._order.size)
@@ -202,7 +208,10 @@ class SparseStationaryTemplate:
             1.0 - self.diagonals(values)[:-1]
         )
         data[offdiag + count - 1:] = 1.0
-        self._system.data = data[self._order]
+        return _sp.csc_matrix(
+            (data[self._order], self._indices, self._indptr),
+            shape=(count, count),
+        )
 
     def solve(self, matrix: np.ndarray) -> np.ndarray:
         """Stationary distribution of ``matrix`` (support must match)."""
@@ -214,8 +223,7 @@ class SparseStationaryTemplate:
                 f"matrix size {matrix.shape[0]} != template size "
                 f"{self.size}"
             )
-        self._fill(self.values(matrix))
-        factors = _factorize(self._system)
+        factors = _factorize(self._fill(self.values(matrix)))
         return _sanitize(factors.solve(self._rhs))
 
     #: Iterative-refinement controls for :meth:`solve_batch`: accept a
@@ -249,11 +257,11 @@ class SparseStationaryTemplate:
         factors = None
         rhs = self._rhs
         for index in indices:
-            self._fill(probes[index])
+            system = self._fill(probes[index])
             if factors is not None:
                 x = factors.solve(rhs)
                 for _ in range(self.IR_MAX):
-                    residual = rhs - self._system @ x
+                    residual = rhs - system @ x
                     gap = np.abs(residual).max()
                     if gap < self.IR_TOL:
                         results[index] = _sanitize(x)
@@ -264,7 +272,7 @@ class SparseStationaryTemplate:
                 if index in results:
                     continue
             try:
-                factors = _factorize(self._system)
+                factors = _factorize(system)
                 results[index] = _sanitize(factors.solve(rhs))
             except (ValueError, RuntimeError):
                 factors = None  # singular probe: skip, don't reference

@@ -542,10 +542,18 @@ def _run_walk_checkpointed(cost, options, seed, checkpoint):
     so the trajectory — checkpointed, resumed, or neither — is
     bit-identical to the plain entry point.
     """
-    from repro.core.perturbed import PerturbedWalk, advance_walk
+    from repro.core.perturbed import (
+        WALK_SNAPSHOT_SCHEMA,
+        PerturbedWalk,
+        advance_walk,
+    )
 
     snapshot = checkpoint.load()
-    if snapshot is not None:
+    # A checkpoint of another schema (an older release's) is treated
+    # like a torn one: a fresh start is always a correct recovery.
+    if snapshot is not None and snapshot.get("schema") == (
+        WALK_SNAPSHOT_SCHEMA
+    ):
         walk = PerturbedWalk.restore(cost, snapshot, options)
     else:
         walk = PerturbedWalk(cost, None, seed, options)

@@ -36,9 +36,12 @@ class PerfCounters:
     covering ``batch_matrices`` matrices in total (each batched matrix
     costs one stacked solve plus one stacked inversion, but never a
     per-matrix Python round trip).  The sparse path counts its own
-    work: ``sparse_factorizations`` (sparse LU builds),
-    ``incremental_updates`` (low-rank ``(pi, Z)`` updates) and
-    ``incremental_refactorizations`` (tracker resets).  The process
+    work: ``sparse_factorizations`` (sparse core LU builds, one per
+    sparse chain state that solves against its core).
+    ``incremental_updates`` and ``incremental_refactorizations`` count
+    the low-rank updates and resets of
+    :class:`~repro.markov.incremental.IncrementalCoreTracker`, which no
+    optimizer path uses; they stay zero in every run.  The process
     backend adds ``dispatch_bytes``/``dispatch_seconds`` for payloads
     sent and ``result_bytes`` for payloads collected.
 
@@ -123,7 +126,7 @@ class OptimizerPerf:
     inside a worker — dispatch is paid by the parent, so they show up
     in ambient :func:`perf_scope` counters around a fan-out (and in the
     dispatch benchmark's output), not in the per-run perf attached to
-    each result.  The sparse-path counters carry over from
+    each result.  ``sparse_factorizations`` carries over from
     :class:`PerfCounters` unchanged (zero on the dense path).
     """
 
@@ -138,8 +141,6 @@ class OptimizerPerf:
     dispatch_bytes: int = 0
     dispatch_seconds: float = 0.0
     sparse_factorizations: int = 0
-    incremental_updates: int = 0
-    incremental_refactorizations: int = 0
 
     @classmethod
     def from_counters(cls, counters: PerfCounters, **extra):
@@ -153,10 +154,6 @@ class OptimizerPerf:
             dispatch_bytes=counters.dispatch_bytes,
             dispatch_seconds=counters.dispatch_seconds,
             sparse_factorizations=counters.sparse_factorizations,
-            incremental_updates=counters.incremental_updates,
-            incremental_refactorizations=(
-                counters.incremental_refactorizations
-            ),
             **extra,
         )
 

@@ -29,6 +29,7 @@ from repro.core.linesearch import (
 from repro.core.lockstep import lockstep_multistart
 from repro.core.multistart import optimize_multistart
 from repro.core.initializers import dirichlet_matrix
+from repro.topology.library import scalable_topology
 
 from tests.conftest import random_zero_rowsum_direction
 
@@ -206,6 +207,23 @@ class TestLockstepMultistart:
         )
         lockstep = lockstep_multistart(
             cost_both, random_starts=3, seed=3, options=opts
+        )
+        self._assert_identical(serial, lockstep)
+
+    @pytest.mark.parametrize("family", ["city-grid", "ring-of-grids"])
+    def test_sparse_bit_identical_to_serial(self, family):
+        """On the sparse path each ray is evaluated in its own call, so
+        lockstep still equals the serial driver bit for bit."""
+        cost = CoverageCost(
+            scalable_topology(family, 64),
+            CostWeights(alpha=1.0, beta=1.0), linalg="sparse",
+        )
+        opts = PerturbedOptions(max_iterations=8, record_history=True)
+        serial = optimize_multistart(
+            cost, random_starts=1, seed=0, options=opts
+        )
+        lockstep = lockstep_multistart(
+            cost, random_starts=1, seed=0, options=opts
         )
         self._assert_identical(serial, lockstep)
 

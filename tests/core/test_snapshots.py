@@ -25,7 +25,7 @@ from repro.core.perturbed import (
     PerturbedWalk,
     advance_walk,
 )
-from repro.topology.library import paper_topology
+from repro.topology.library import paper_topology, scalable_topology
 from repro.utils.rng import (
     as_generator,
     generator_from_state,
@@ -55,15 +55,33 @@ METHOD_OPTIONS = {
     "perturbed": OPTIONS,
 }
 
-#: (method, kill_after) pairs; perturbed, the default method, keeps
-#: bare ``kill_after`` ids.
+#: (method, kill_after, family) triples; perturbed, the default method,
+#: keeps bare ``kill_after`` ids on the paper topology (``family`` is
+#: ``None``).  The sparse cases run on an M = 64 ``linalg="sparse"``
+#: cost of ``family``, killed where a restore that did not reuse the
+#: carried state would leave the trajectory: city-grid at 2 and 3,
+#: ring-of-grids at 21, where the carried ``pi`` (iteratively refined
+#: by the line search) differs from a scratch solve in the last bits.
 RESUME_CASES = [
-    pytest.param(method, kill_after,
+    pytest.param(method, kill_after, None,
                  id=f"{kill_after}" if method == "perturbed"
                  else f"{method}-{kill_after}")
     for method in ("perturbed", "basic", "adaptive")
     for kill_after in (0, 1, 9)
+] + [
+    pytest.param("perturbed", kill_after, "city-grid",
+                 id=f"sparse-{kill_after}")
+    for kill_after in (2, 3)
+] + [
+    pytest.param("perturbed", 21, "ring-of-grids", id="sparse-ring-21"),
 ]
+
+
+def _sparse_cost(family):
+    return CoverageCost(
+        scalable_topology(family, 64),
+        CostWeights(alpha=1.0, beta=1.0), linalg="sparse",
+    )
 
 
 class TestGeneratorState:
@@ -84,9 +102,9 @@ class TestGeneratorState:
 
 
 class TestWalkSnapshot:
-    def _run_interrupted(self, cost, kill_after, options):
+    def _run_interrupted(self, cost, kill_after, options, resume_cost):
         """Run to ``kill_after`` iterations, snapshot, JSON round-trip,
-        restore, finish."""
+        restore into ``resume_cost``, finish."""
         walk = PerturbedWalk(cost, None, as_generator(7), options)
         while walk.iteration < kill_after and advance_walk(
             cost, walk, options
@@ -94,19 +112,26 @@ class TestWalkSnapshot:
             pass
         assert not walk.finished
         snapshot = json.loads(json.dumps(walk.snapshot()))
-        resumed = PerturbedWalk.restore(cost, snapshot, options)
-        while advance_walk(cost, resumed, options):
+        resumed = PerturbedWalk.restore(resume_cost, snapshot, options)
+        while advance_walk(resume_cost, resumed, options):
             pass
         return resumed.result()
 
-    @pytest.mark.parametrize("method,kill_after", RESUME_CASES)
-    def test_resume_bit_identical(self, cost, method, kill_after):
+    @pytest.mark.parametrize("method,kill_after,family", RESUME_CASES)
+    def test_resume_bit_identical(self, cost, method, kill_after, family):
+        resume_cost = cost
+        if family is not None:
+            # A fresh cost for the resumed half, as a service worker
+            # restoring a job checkpoint would build.
+            cost, resume_cost = _sparse_cost(family), _sparse_cost(family)
         options = METHOD_OPTIONS[method]
         seed = {} if method == "basic" else {"seed": 7}
         uninterrupted = optimize(
             cost, method=method, options=options, **seed
         )
-        resumed = self._run_interrupted(cost, kill_after, options)
+        resumed = self._run_interrupted(
+            cost, kill_after, options, resume_cost
+        )
         assert resumed.u_eps == uninterrupted.u_eps
         assert resumed.matrix.tobytes() == uninterrupted.matrix.tobytes()
         assert resumed.best_u_eps == uninterrupted.best_u_eps

@@ -83,6 +83,25 @@ class TestMultistartBackendInvariance:
         for a, b in zip(serial.runs, threaded.runs):
             assert a.best_u_eps == b.best_u_eps
 
+    def test_sparse_thread_matches_serial(self):
+        """Threads sharing one sparse cost (and its stationary
+        template) reproduce the serial multi-start byte for byte."""
+        from repro.topology.library import scalable_topology
+
+        cost = CoverageCost(
+            scalable_topology("city-grid", 64),
+            CostWeights(alpha=1.0, beta=1.0), linalg="sparse",
+        )
+        options = PerturbedOptions(max_iterations=8)
+        serial = optimize_multistart(cost, seed=3, options=options)
+        with using_executor("thread", jobs=2):
+            threaded = optimize_multistart(cost, seed=3, options=options)
+        assert len(serial.runs) == len(threaded.runs) > 1
+        for a, b in zip(serial.runs, threaded.runs):
+            assert a.history == b.history
+            assert a.best_matrix.tobytes() == b.best_matrix.tobytes()
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+
     def test_ambient_default_executor_is_used(self, cost):
         options = PerturbedOptions(
             max_iterations=ITERATIONS, record_history=False,

@@ -11,6 +11,9 @@ the drift-monitor / rank-cap behavior of the incremental tracker.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,42 @@ class TestSparseStationaryTemplate:
                 rtol=0,
                 atol=1e-11,
             )
+
+    def test_threads_sharing_a_template_get_serial_answers(self):
+        """A solve writes nothing to the template, so concurrent solves
+        on one template (a cost shared by threads) equal serial ones."""
+        _, support = support_matrix()
+        template = SparseStationaryTemplate(support)
+        matrices = [
+            paper_random_matrix(support.shape[0], seed=seed,
+                                support=support)
+            for seed in range(8)
+        ]
+        expected = [template.solve(m).tobytes() for m in matrices]
+        matches = {}
+
+        def work(index):
+            matches[index] = all(
+                template.solve(matrices[index]).tobytes()
+                == expected[index]
+                for _ in range(25)
+            )
+
+        threads = [
+            threading.Thread(target=work, args=(index,))
+            for index in range(len(matrices))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matches == {index: True for index in range(len(matrices))}
 
     def test_size_mismatch_rejected(self):
         _, support = support_matrix()

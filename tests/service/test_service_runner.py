@@ -170,6 +170,32 @@ class TestCheckpointResume:
         assert payload == reference
         assert not checkpoint.exists(), "checkpoint must clear on finish"
 
+    def test_old_schema_checkpoint_starts_fresh(self, topology, service):
+        """A checkpoint of the v1 walk-snapshot schema (no carried
+        ``pi``) is treated as absent: the job starts fresh and still
+        delivers the reference payload."""
+        request = optimize_request(
+            topology, seed=11, options={"max_iterations": 25,
+                                        "trisection_rounds": 8},
+        )
+        reference = execute_request(request)
+        cost = build_cost(request)
+        options = coerce_options(
+            OPTIMIZER_REGISTRY["perturbed"].options_class,
+            request.params["options"], method="perturbed",
+        )
+        walk = PerturbedWalk(cost, None, as_generator(11), options)
+        for _ in range(3):
+            advance_walk(cost, walk, options)
+        snapshot = walk.snapshot()
+        del snapshot["pi"], snapshot["best_pi"]
+        snapshot["schema"] = "repro/walk-snapshot/v1"
+        checkpoint = service.checkpoint_for(request)
+        checkpoint.save(snapshot)
+
+        assert service.run(request) == reference
+        assert not checkpoint.exists()
+
     def test_saves_after_accepted_steps_at_most_per_interval(
         self, topology, tmp_path, monkeypatch
     ):

@@ -14,10 +14,10 @@ record under ``objects/`` must:
   payloads must also carry their ``matrix``).
 
 ``checkpoints/*.json`` files, when present, must parse as
-``repro/walk-snapshot/v1`` snapshots — they are the resume state of
-in-flight jobs, and a malformed one silently degrades resume to a
-restart.  Stray ``*.tmp`` files are fine: they are the footprint of a
-killed atomic write and are never read.  Run from anywhere::
+``repro/walk-snapshot/v2`` snapshots — they are the resume state of
+in-flight jobs, and a malformed or older-schema one silently degrades
+resume to a restart.  Stray ``*.tmp`` files are fine: they are the
+footprint of a killed atomic write and are never read.  Run from anywhere::
 
     python tools/check_service_store.py STORE_DIR [STORE_DIR ...]
 
