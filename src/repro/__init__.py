@@ -53,7 +53,6 @@ from repro.core import (
     coerce_options,
     damped_baseline_matrix,
     dirichlet_matrix,
-    lockstep_multistart,
     normalize_extra_terms,
     optimize,
     optimize_adaptive,
@@ -129,7 +128,6 @@ __all__ = [
     "damped_baseline_matrix",
     "MultiStartResult",
     "optimize_multistart",
-    "lockstep_multistart",
     "MultiRayBatch",
     # façade
     "optimize",

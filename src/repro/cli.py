@@ -250,13 +250,6 @@ def _cmd_optimize(args) -> int:
     kwargs = {}
     if spec.accepts_seed:
         kwargs["seed"] = args.seed
-    if args.execution is not None:
-        if not spec.accepts_execution:
-            raise SystemExit(
-                f"--execution applies only to --method multistart, "
-                f"not {method!r}"
-            )
-        kwargs["execution"] = args.execution
     result = optimize(cost, method=method, options=options, **kwargs)
     if method == "multistart":
         result = result.best
@@ -559,14 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "optimizer variant (one per repro.OPTIMIZER_REGISTRY entry; "
             "--algorithm is the historical spelling)"
-        ),
-    )
-    p_opt.add_argument(
-        "--execution", default=None,
-        help=(
-            "how --method multistart runs its starts: 'serial', "
-            "'lockstep' (fused line searches), or an execution backend "
-            "name"
         ),
     )
     p_opt.add_argument(

@@ -69,7 +69,6 @@ from repro.core.multistart import (
     default_start_portfolio,
     optimize_multistart,
 )
-from repro.core.lockstep import lockstep_multistart
 from repro.core.api import OPTIMIZER_REGISTRY, OptimizerSpec, optimize
 
 __all__ = [
@@ -98,7 +97,6 @@ __all__ = [
     "optimize",
     "OptimizerSpec",
     "OPTIMIZER_REGISTRY",
-    "lockstep_multistart",
     "uniform_matrix",
     "paper_random_matrix",
     "dirichlet_matrix",

@@ -100,12 +100,9 @@ OPTIMIZER_REGISTRY: Dict[str, OptimizerSpec] = {
         options_class=PerturbedOptions,
         accepts_initial=False,
         accepts_execution=True,
-        extra_keywords=(
-            "random_starts", "delta_grid", "optimizer", "executor",
-            "transport",
-        ),
-        summary="portfolio of starts, best run kept; supports serial, "
-        "executor, and lockstep execution",
+        extra_keywords=("random_starts", "delta_grid", "transport"),
+        summary="portfolio of starts, best run kept; in-process starts "
+        "run in lockstep, or one task per start on an executor",
     ),
 }
 
@@ -141,9 +138,12 @@ def optimize(
         it (unknown keys raise :class:`ValueError` naming them), or
         ``None`` for the method's defaults.
     execution:
-        ``"multistart"`` only: ``"serial"``, ``"lockstep"``, a
-        :mod:`repro.exec` backend name, or an
-        :class:`~repro.exec.executor.Executor` instance.  The
+        ``"multistart"`` only: the executor its starts run on — a
+        :mod:`repro.exec` backend name or an
+        :class:`~repro.exec.executor.Executor` instance, forwarded as
+        :func:`~repro.core.multistart.optimize_multistart`'s
+        ``executor``.  ``None`` (default) uses the process-wide default
+        executor; a serial one runs the starts in lockstep.  The
         method-specific ``transport`` keyword
         (``"pickle"``/``"shm"``/``"auto"``) selects the process
         backend's payload transport for executor-backed runs (see
@@ -210,7 +210,7 @@ def optimize(
                 f"method {method!r} does not accept execution= "
                 "(only 'multistart' does)"
             )
-        call_kwargs["execution"] = execution
+        call_kwargs["executor"] = execution
     unknown = sorted(set(kwargs) - set(spec.extra_keywords))
     if unknown:
         valid = ", ".join(spec.extra_keywords) or "none"

@@ -661,7 +661,7 @@ class CoverageCost:
         The returned :class:`MultiRayBatch` stacks all participating
         rays' probes into one :meth:`batch_evaluate` call per
         line-search stage and keeps per-ray winners — the lockstep
-        multi-start driver's hot path (see :mod:`repro.core.lockstep`).
+        multi-start driver's hot path (see :mod:`repro.core.multistart`).
         """
         return MultiRayBatch.from_directions(self, pairs)
 
@@ -826,8 +826,8 @@ class MultiRayBatch:
     not independent within a stack, so there each ray gets its own
     call, which is exactly the single-ray evaluation.
 
-    Used by :mod:`repro.core.lockstep` to fuse the line searches of all
-    active multi-start trajectories at each descent iteration.
+    Used by :mod:`repro.core.multistart` to fuse the line searches of
+    all active multi-start trajectories at each descent iteration.
     """
 
     def __init__(self, cost: CoverageCost, rays) -> None:

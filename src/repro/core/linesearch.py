@@ -103,8 +103,8 @@ class TrisectionState:
     evaluation.
 
     :func:`trisection_search` drives this state machine to completion
-    against a single ray; the lockstep driver
-    (:mod:`repro.core.lockstep`) instead advances *many* instances one
+    against a single ray; the in-process multi-start
+    (:mod:`repro.core.multistart`) instead advances *many* instances one
     stage at a time, fusing each stage's probe evaluations across rays
     into a single stacked call (see
     :class:`repro.core.cost.MultiRayBatch`).  Both paths execute the
@@ -324,8 +324,8 @@ def trisection_search(
 
     A thin driver over :class:`TrisectionState`: each stage's probes are
     fed to the (preferably batched) objective and the values handed
-    back, so this serial path and the lockstep multi-ray path share the
-    exact step-selection arithmetic.
+    back, so this single-ray path and the lockstep multi-ray path share
+    the exact step-selection arithmetic.
 
     Parameters
     ----------

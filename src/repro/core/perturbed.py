@@ -181,9 +181,10 @@ class PerturbedWalk:
     iteration.
 
     The options class picks the variant (see the module docstring).
-    :func:`advance_walk` drives a single walk; the lockstep driver
-    (:mod:`repro.core.lockstep`) advances many perturbed walks one stage
-    at a time, fusing their line-search probes into stacked evaluations.
+    :func:`advance_walk` drives a single walk; the in-process
+    multi-start (:mod:`repro.core.multistart`) advances many perturbed
+    walks one stage at a time, fusing their line-search probes into
+    stacked evaluations.
     Both paths run the identical per-iteration arithmetic and draw from
     the walk's own RNG in the identical order — gradient noise, then the
     fallback step, then the acceptance test (which is short-circuited,

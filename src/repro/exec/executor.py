@@ -40,6 +40,7 @@ from concurrent.futures import (
     as_completed,
 )
 from contextlib import contextmanager
+from contextvars import copy_context
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -249,7 +250,13 @@ class _PoolExecutor(Executor):
             return self._pool
 
     def _submit(self, pool, fn: Callable, items: List):
-        return [pool.submit(_timed_call, fn, item) for item in items]
+        # Each thread task runs in its own copy of the submitter's
+        # context, so perf scopes open here see the task's counts and
+        # a task's own scopes see nothing of its siblings'.
+        return [
+            pool.submit(copy_context().run, _timed_call, fn, item)
+            for item in items
+        ]
 
     def _collect(self, future):
         """Turn one completed future into a ``(result, seconds)`` pair."""

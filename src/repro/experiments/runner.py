@@ -104,16 +104,14 @@ def optimize_weight_setting(
     epsilon: float = 1e-4,
     initial: Optional[np.ndarray] = None,
     executor=None,
-    execution=None,
 ) -> OptimizationResult:
     """Best matrix for one ``(alpha, beta)`` weighting.
 
     Uses the multi-start perturbed optimizer (see
     :mod:`repro.core.multistart`); ``initial``, when given, is added to
     the portfolio as a warm start (used by sweep continuation).
-    ``execution`` forwards to the multi-start driver (e.g.
-    ``"lockstep"`` to fuse the starts' line searches — bit-identical,
-    faster on one core).
+    ``executor`` runs the multi-start's starts (``None``: the
+    process-wide default; a serial executor runs them in lockstep).
     """
     cost = CoverageCost(
         topology, CostWeights(alpha=alpha, beta=beta, epsilon=epsilon)
@@ -130,8 +128,7 @@ def optimize_weight_setting(
         seed=seed,
         options=options,
         random_starts=random_starts,
-        executor=executor,
-        execution=execution,
+        execution=executor,
     )
     best = multi.best
     if initial is not None:

@@ -216,22 +216,31 @@ def team_request(
     )
 
 
-def request_from_cell(cell) -> JobRequest:
+def request_from_cell(
+    cell, topology: Optional[Topology] = None
+) -> JobRequest:
     """The service request computing exactly a sweep cell's work.
 
-    Reuses the cell-to-options expansion of
-    :func:`repro.sweep.grid.run_cell` (iteration budget, disabled
-    history, shared stall budget), so the request's execution — and
-    therefore its result payload's ``"result"`` block — is identical to
-    the record a sweep shard streams for the same cell.  This is the
-    bridge :meth:`repro.service.store.ResultStore.import_sweep` uses to
+    Uses the sweep's cell-to-options expansion (iteration budget,
+    disabled history, shared stall budget), and
+    :func:`repro.sweep.grid.run_cell` executes a cell as this request
+    (:func:`run_optimize_request`), so the request's result payload's
+    ``"result"`` block is the record a sweep shard streams for the same
+    cell.  This is also the bridge
+    :meth:`repro.service.store.ResultStore.import_sweep` uses to
     pre-warm the cache from past sweeps.
+
+    ``topology`` may be passed to reuse an already-built instance of
+    the cell's topology (construction is deterministic, so the request
+    is the same either way).
     """
     from repro.sweep.grid import _cell_options, build_topology
 
     spec = OPTIMIZER_REGISTRY[cell.method]
+    if topology is None:
+        topology = build_topology(cell)
     return optimize_request(
-        build_topology(cell),
+        topology,
         alpha=cell.alpha,
         beta=cell.beta,
         epsilon=cell.epsilon,
@@ -460,6 +469,39 @@ def optimize_result_payload(result) -> dict:
     }
 
 
+def run_optimize_request(request: JobRequest, checkpoint=None):
+    """Run an optimize request; returns the best
+    :class:`~repro.core.result.OptimizationResult` (a multi-start's
+    best run).
+
+    The one optimize body behind :func:`execute_request` and
+    :func:`repro.sweep.grid.run_cell`.  ``checkpoint`` applies to the
+    descent-walk methods (see :func:`execute_request`).
+    """
+    from repro.core.api import optimize
+
+    params = request.params
+    cost = build_cost(request)
+    method = params["method"]
+    spec = OPTIMIZER_REGISTRY[method]
+    options = coerce_options(
+        spec.options_class, params["options"], method=method
+    )
+    if method in WALK_METHODS and checkpoint is not None:
+        return _run_walk_checkpointed(
+            cost, options, params["seed"], checkpoint
+        )
+    kwargs = {}
+    if spec.accepts_seed:
+        kwargs["seed"] = params["seed"]
+    if method == "multistart":
+        kwargs["random_starts"] = params["starts"]
+    result = optimize(cost, method=method, options=options, **kwargs)
+    if method == "multistart":
+        result = result.best
+    return result
+
+
 def execute_request(
     request: JobRequest, checkpoint=None
 ) -> dict:
@@ -480,29 +522,7 @@ def execute_request(
 
     params = request.params
     if request.kind == "optimize":
-        cost = build_cost(request)
-        method = params["method"]
-        spec = OPTIMIZER_REGISTRY[method]
-        options = coerce_options(
-            spec.options_class, params["options"], method=method
-        )
-        if method in WALK_METHODS and checkpoint is not None:
-            result = _run_walk_checkpointed(
-                cost, options, params["seed"], checkpoint
-            )
-        else:
-            from repro.core.api import optimize
-
-            kwargs = {}
-            if spec.accepts_seed:
-                kwargs["seed"] = params["seed"]
-            if method == "multistart":
-                kwargs["random_starts"] = params["starts"]
-            result = optimize(
-                cost, method=method, options=options, **kwargs
-            )
-            if method == "multistart":
-                result = result.best
+        result = run_optimize_request(request, checkpoint)
         return {
             "result": optimize_result_payload(result),
             "matrix": np.asarray(

@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.api import OPTIMIZER_REGISTRY
-from repro.core.cost import LINALG_MODES, CostWeights, CoverageCost
-from repro.core.options import coerce_options
+from repro.core.cost import LINALG_MODES
 from repro.core.registry import normalize_extra_terms
 from repro.persist import json_digest
 from repro.topology.library import (
@@ -420,50 +419,27 @@ def run_cell(cell: SweepCell, topology: Optional[Topology] = None):
     transition matrix as an ndarray (returned separately so process
     workers ship it through the shared-memory result path).
 
-    ``topology`` may be passed to reuse an already-built instance —
-    construction is deterministic, so results are bit-identical either
-    way (the driver shares one instance per topology key to hit the
-    broadcast cache).
+    The cell runs as its service request
+    (:func:`~repro.service.requests.request_from_cell`) through the
+    service's optimize body, so the record's ``"result"`` block is the
+    service payload's.  ``topology`` may be passed to reuse an
+    already-built instance — construction is deterministic, so results
+    are bit-identical either way (the driver shares one instance per
+    topology key to hit the broadcast cache).
     """
-    from repro.core.api import optimize
+    import numpy as np
 
-    if topology is None:
-        topology = build_topology(cell)
-    spec = OPTIMIZER_REGISTRY[cell.method]
-    cost = CoverageCost(
-        topology,
-        CostWeights(
-            alpha=cell.alpha, beta=cell.beta, epsilon=cell.epsilon
-        ),
-        linalg=cell.linalg,
-        extra_terms=cell.terms,
+    from repro.service.requests import (
+        optimize_result_payload,
+        request_from_cell,
+        run_optimize_request,
     )
-    options = coerce_options(
-        spec.options_class, _cell_options(cell, spec), method=cell.method
-    )
-    kwargs = {}
-    if spec.accepts_seed:
-        kwargs["seed"] = cell.seed
-    if cell.method == "multistart":
-        kwargs["random_starts"] = cell.starts
-    result = optimize(cost, method=cell.method, options=options, **kwargs)
-    if cell.method == "multistart":
-        result = result.best
+
+    result = run_optimize_request(request_from_cell(cell, topology))
     record = {
         "schema": CELL_SCHEMA,
         "digest": cell_digest(cell),
         "cell": cell_to_dict(cell),
-        "result": {
-            "u": float(result.u),
-            "u_eps": float(result.u_eps),
-            "best_u_eps": float(result.best_u_eps),
-            "delta_c": float(result.delta_c),
-            "e_bar": float(result.e_bar),
-            "iterations": int(result.iterations),
-            "converged": bool(result.converged),
-            "stop_reason": str(result.stop_reason),
-        },
+        "result": optimize_result_payload(result),
     }
-    import numpy as np
-
     return record, np.asarray(result.best_matrix, dtype=float)

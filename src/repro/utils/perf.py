@@ -8,10 +8,14 @@ batched line search.  This module counts that work so regressions in the
 (see ``docs/performance.md`` for the counter semantics).
 
 Counting is scope-based: any code can open a :func:`perf_scope`, and all
-counters incremented while the scope is active — including from worker
-threads — accumulate into it.  Scopes nest; increments go to every
-active scope.  Worker *processes* have their own module state, so
-process-parallel runs report per-run counters via the
+counters incremented while the scope is active accumulate into it.
+Scopes nest; increments go to every scope active in the *current
+context* (a :mod:`contextvars` variable), so concurrent runs in
+different threads or asyncio tasks each count only their own work.
+:class:`~repro.exec.executor.ThreadExecutor` runs every task in a copy
+of the submitter's context, so a scope around a thread fan-out still
+sees the workers' counts.  Worker *processes* have their own module
+state, so process-parallel runs report per-run counters via the
 :class:`OptimizerPerf` attached to each
 :class:`~repro.core.result.OptimizationResult` (which travels back
 through pickling) rather than via an ambient scope.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 
 
@@ -45,9 +50,8 @@ class PerfCounters:
     backend adds ``dispatch_bytes``/``dispatch_seconds`` for payloads
     sent and ``result_bytes`` for payloads collected.
 
-    ``eq=False``: scope bookkeeping removes a finished scope's counters
-    from the active list by identity; value equality would let two
-    concurrent scopes with equal tallies remove each other's entry.
+    ``eq=False``: each instance is one scope's live accumulator, so two
+    scopes with equal tallies must still compare (and hash) apart.
     """
 
     factorizations: int = 0
@@ -75,16 +79,19 @@ class PerfCounters:
         )
 
 
+# One lock for all increments: copied contexts share their scopes'
+# counters, so worker threads of one fan-out add to the same objects.
 _lock = threading.Lock()
-_active = []  # type: list
+_active: ContextVar = ContextVar("perf_scopes", default=())
 
 
 def count(name: str, amount=1) -> None:
     """Add ``amount`` to counter ``name`` in every active scope."""
-    if not _active:
+    scopes = _active.get()
+    if not scopes:
         return
     with _lock:
-        for counters in _active:
+        for counters in scopes:
             counters.add(name, amount)
 
 
@@ -98,13 +105,11 @@ def perf_scope():
     scopes.
     """
     counters = PerfCounters()
-    with _lock:
-        _active.append(counters)
+    token = _active.set(_active.get() + (counters,))
     try:
         yield counters
     finally:
-        with _lock:
-            _active.remove(counters)
+        _active.reset(token)
 
 
 @dataclass

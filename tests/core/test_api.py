@@ -130,7 +130,7 @@ class TestFacadeErrors:
 
     def test_execution_rejected_outside_multistart(self, cost_both):
         with pytest.raises(ValueError, match="execution"):
-            optimize(cost_both, method="perturbed", execution="lockstep")
+            optimize(cost_both, method="perturbed", execution="serial")
 
     def test_unknown_keyword_named(self, cost_both):
         with pytest.raises(ValueError, match="frobnicate"):
@@ -224,7 +224,7 @@ class TestPublicApiSnapshot:
         for name in (
             "optimize", "OPTIMIZER_REGISTRY", "OptimizerSpec",
             "OptimizerOptions", "SearchOptions", "coerce_options",
-            "lockstep_multistart", "MultiRayBatch",
+            "MultiRayBatch",
         ):
             assert name in repro.__all__
             assert hasattr(repro, name)
@@ -242,8 +242,7 @@ class TestPublicApiSnapshot:
             "optimize_mirror", "MirrorOptions",
             "uniform_matrix", "paper_random_matrix", "dirichlet_matrix",
             "damped_baseline_matrix",
-            "MultiStartResult", "optimize_multistart",
-            "lockstep_multistart", "MultiRayBatch",
+            "MultiStartResult", "optimize_multistart", "MultiRayBatch",
             # façade
             "optimize", "OptimizerSpec", "OPTIMIZER_REGISTRY",
             "OptimizerOptions", "SearchOptions", "coerce_options",

@@ -1,4 +1,4 @@
-"""Lockstep multi-ray evaluation: fused == per-ray, bit for bit.
+"""Lockstep multi-start: fused == per-ray == per-start, bit for bit.
 
 Three layers of equivalence, each pinned exactly (``==`` on floats and
 raw matrix bytes, not ``allclose``):
@@ -7,11 +7,13 @@ raw matrix bytes, not ``allclose``):
   into one stacked ``batch_evaluate`` returns the same values and
   records the same per-ray winners as evaluating each ray alone;
 * :class:`~repro.core.linesearch.TrisectionState` — the state machine
-  the lockstep driver advances stage by stage reproduces
+  the in-process multi-start advances stage by stage reproduces
   :func:`~repro.core.linesearch.trisection_search` exactly;
-* :func:`~repro.core.lockstep.lockstep_multistart` — every start's full
-  trajectory (history, matrices, perf accounting) equals the serial
-  ``optimize_multistart(..., executor=None)`` run's.
+* :func:`~repro.core.multistart.optimize_multistart` — every start's
+  full trajectory (history, matrices, checkpoints, perf accounting)
+  equals the start-by-start reference loop's
+  (:func:`tests.oracles.multistart.optimize_multistart`), dense and
+  sparse.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from repro.core.linesearch import (
     feasible_step_bound,
     trisection_search,
 )
-from repro.core.lockstep import lockstep_multistart
 from repro.core.multistart import optimize_multistart
+from repro.utils import perf
 from repro.core.initializers import dirichlet_matrix
 from repro.topology.library import scalable_topology
 
 from tests.conftest import random_zero_rowsum_direction
+from tests.oracles import multistart as oracle
 
 
 def _rays_setup(cost, rng, count):
@@ -175,12 +178,20 @@ class TestTrisectionState:
         assert search.result().step == 0.0
 
 
+PERF_FIELDS = (
+    "accepted_steps", "accept_factorizations", "factorizations",
+    "state_builds", "states_reused", "batch_calls", "batch_matrices",
+    "sparse_factorizations",
+)
+
+
 class TestLockstepMultistart:
-    def _assert_identical(self, serial, lockstep):
-        assert serial.start_labels == lockstep.start_labels
-        assert serial.best_label == lockstep.best_label
-        assert serial.best.best_u_eps == lockstep.best.best_u_eps
-        for run_a, run_b in zip(serial.runs, lockstep.runs):
+    def _assert_identical(self, reference, lockstep):
+        assert reference.start_labels == lockstep.start_labels
+        assert reference.best_label == lockstep.best_label
+        assert reference.best.best_u_eps == lockstep.best.best_u_eps
+        assert len(reference.runs) == len(lockstep.runs)
+        for run_a, run_b in zip(reference.runs, lockstep.runs):
             assert run_a.best_u_eps == run_b.best_u_eps
             assert (
                 run_a.best_matrix.tobytes() == run_b.best_matrix.tobytes()
@@ -196,68 +207,72 @@ class TestLockstepMultistart:
             ):
                 assert it_a == it_b
                 assert p_a.tobytes() == p_b.tobytes()
+            for name in PERF_FIELDS:
+                assert getattr(run_a.perf, name) == getattr(
+                    run_b.perf, name
+                ), name
 
     def test_bit_identical_to_serial(self, cost_both):
         opts = PerturbedOptions(
             max_iterations=10, stall_limit=100, checkpoint_every=4
         )
-        serial = optimize_multistart(
-            cost_both, random_starts=3, seed=3, options=opts,
-            executor=None,
-        )
-        lockstep = lockstep_multistart(
+        reference = oracle.optimize_multistart(
             cost_both, random_starts=3, seed=3, options=opts
         )
-        self._assert_identical(serial, lockstep)
+        lockstep = optimize_multistart(
+            cost_both, random_starts=3, seed=3, options=opts
+        )
+        self._assert_identical(reference, lockstep)
 
     @pytest.mark.parametrize("family", ["city-grid", "ring-of-grids"])
     def test_sparse_bit_identical_to_serial(self, family):
-        """On the sparse path each ray is evaluated in its own call, so
-        lockstep still equals the serial driver bit for bit."""
+        """Sparse walks advance one at a time through the same loop and
+        still equal the reference bit for bit, perf counts included."""
         cost = CoverageCost(
             scalable_topology(family, 64),
             CostWeights(alpha=1.0, beta=1.0), linalg="sparse",
         )
-        opts = PerturbedOptions(max_iterations=8, record_history=True)
-        serial = optimize_multistart(
+        opts = PerturbedOptions(
+            max_iterations=8, record_history=True, checkpoint_every=3
+        )
+        reference = oracle.optimize_multistart(
             cost, random_starts=1, seed=0, options=opts
         )
-        lockstep = lockstep_multistart(
+        lockstep = optimize_multistart(
             cost, random_starts=1, seed=0, options=opts
         )
-        self._assert_identical(serial, lockstep)
+        self._assert_identical(reference, lockstep)
 
     def test_perf_accounting_matches_serial(self, cost_both):
         opts = PerturbedOptions(max_iterations=6, stall_limit=100)
-        serial = optimize_multistart(
+        reference = oracle.optimize_multistart(
             cost_both, random_starts=2, seed=5, options=opts
         )
-        lockstep = lockstep_multistart(
+        lockstep = optimize_multistart(
             cost_both, random_starts=2, seed=5, options=opts
         )
-        for run_a, run_b in zip(serial.runs, lockstep.runs):
-            perf_a, perf_b = run_a.perf, run_b.perf
-            assert perf_a.accepted_steps == perf_b.accepted_steps
-            assert (
-                perf_a.accept_factorizations
-                == perf_b.accept_factorizations
-            )
-            assert perf_a.factorizations == perf_b.factorizations
-            assert perf_a.state_builds == perf_b.state_builds
-            assert perf_a.states_reused == perf_b.states_reused
-            assert perf_a.batch_calls == perf_b.batch_calls
-            assert perf_a.batch_matrices == perf_b.batch_matrices
+        for run_a, run_b in zip(reference.runs, lockstep.runs):
+            for name in PERF_FIELDS:
+                assert getattr(run_a.perf, name) == getattr(
+                    run_b.perf, name
+                ), name
 
     def test_execution_knob_routes_to_lockstep(self, cost_both):
+        """A serial executor runs the fused loop: an ambient scope sees
+        fewer stacked calls than the runs' single-walk counts add up
+        to, over the same probe matrices."""
         opts = PerturbedOptions(max_iterations=6, stall_limit=100)
-        direct = lockstep_multistart(
-            cost_both, random_starts=2, seed=4, options=opts
+        with perf.perf_scope() as ambient:
+            routed = optimize_multistart(
+                cost_both, random_starts=2, seed=4, options=opts,
+                executor="serial",
+            )
+        assert ambient.batch_calls < sum(
+            run.perf.batch_calls for run in routed.runs
         )
-        routed = optimize_multistart(
-            cost_both, random_starts=2, seed=4, options=opts,
-            execution="lockstep",
+        assert ambient.batch_matrices == sum(
+            run.perf.batch_matrices for run in routed.runs
         )
-        self._assert_identical(direct, routed)
 
     def test_execution_serial_equals_default(self, cost_both):
         opts = PerturbedOptions(max_iterations=5, stall_limit=100)
@@ -266,24 +281,9 @@ class TestLockstepMultistart:
         )
         explicit = optimize_multistart(
             cost_both, random_starts=2, seed=4, options=opts,
-            execution="serial",
+            executor="serial",
         )
         self._assert_identical(default, explicit)
-
-    def test_execution_and_executor_conflict(self, cost_both):
-        with pytest.raises(ValueError, match="not both"):
-            optimize_multistart(
-                cost_both, execution="lockstep", executor="serial"
-            )
-
-    def test_lockstep_requires_default_optimizer(self, cost_both):
-        from repro.core.perturbed import optimize_adaptive
-
-        with pytest.raises(ValueError, match="perturbed"):
-            optimize_multistart(
-                cost_both, optimizer=optimize_adaptive,
-                execution="lockstep",
-            )
 
     def test_other_topology_and_weights(self, topology3):
         """Exposure-heavy weighting on the line topology, same identity."""
@@ -291,10 +291,10 @@ class TestLockstepMultistart:
             topology3, CostWeights(alpha=1.0, beta=1e-3)
         )
         opts = PerturbedOptions(max_iterations=8, stall_limit=100)
-        serial = optimize_multistart(
+        reference = oracle.optimize_multistart(
             cost, random_starts=2, seed=11, options=opts
         )
-        lockstep = lockstep_multistart(
+        lockstep = optimize_multistart(
             cost, random_starts=2, seed=11, options=opts
         )
-        self._assert_identical(serial, lockstep)
+        self._assert_identical(reference, lockstep)

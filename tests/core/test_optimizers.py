@@ -306,20 +306,3 @@ class TestMultiStart:
         for label, matrix in starts:
             if label.startswith("damped-"):
                 assert matrix.min() > epsilon
-
-    def test_custom_optimizer(self, cost):
-        calls = []
-
-        def fake_optimizer(cost_arg, initial=None, seed=None,
-                           options=None):
-            calls.append(initial)
-            return optimize_perturbed(
-                cost_arg, initial=initial, seed=seed,
-                options=PerturbedOptions(max_iterations=3,
-                                         trisection_rounds=8),
-            )
-
-        result = optimize_multistart(
-            cost, optimizer=fake_optimizer, random_starts=1, seed=0
-        )
-        assert len(calls) == len(result.runs)

@@ -150,3 +150,47 @@ class TestSimulateRepeatedlyBackendInvariance:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.coverage_shares, b.coverage_shares)
             assert a.delta_c == b.delta_c
+
+
+#: The per-run counters a walk records for itself.
+RUN_COUNTERS = (
+    "factorizations", "state_builds", "states_reused", "batch_calls",
+    "batch_matrices", "sparse_factorizations",
+)
+
+
+class TestThreadPerfScopes:
+    """Perf scopes live in the context: concurrent walks in threads each
+    count only their own work, and a scope around the fan-out counts
+    every worker's."""
+
+    def test_thread_run_perf_matches_serial(self, cost):
+        """Three workers whatever the host's core count, so the walks
+        really run concurrently."""
+        options = PerturbedOptions(
+            max_iterations=8, record_history=False, stall_limit=9,
+        )
+        serial = optimize_multistart(
+            cost, random_starts=1, seed=5, options=options
+        )
+        with using_executor("thread", jobs=3):
+            threaded = optimize_multistart(
+                cost, random_starts=1, seed=5, options=options
+            )
+        for a, b in zip(serial.runs, threaded.runs):
+            for name in RUN_COUNTERS + (
+                "accepted_steps", "accept_factorizations",
+            ):
+                assert getattr(a.perf, name) == getattr(b.perf, name), name
+
+    def test_ambient_scope_around_thread_run_many_sums_runs(self, cost):
+        with using_executor("thread", jobs=3):
+            with perf.perf_scope() as ambient:
+                results = run_many(
+                    cost, "perturbed", runs=4, iterations=8, seed=5
+                )
+        assert ambient.executor_tasks == 4
+        for name in RUN_COUNTERS:
+            assert getattr(ambient, name) == sum(
+                getattr(result.perf, name) for result in results
+            ), name

@@ -136,11 +136,10 @@ class TestTransportValidation:
         cost = CoverageCost(
             paper_topology(1), CostWeights(alpha=1.0, beta=1.0)
         )
-        for execution in ("serial", "lockstep"):
-            with pytest.raises(ValueError, match="in-process"):
-                optimize_multistart(
-                    cost, execution=execution, transport="shm"
-                )
+        with pytest.raises(ValueError, match="no serialization"):
+            optimize_multistart(cost, executor="serial", transport="shm")
+        with pytest.raises(ValueError, match="transport applies"):
+            optimize_multistart(cost, transport="shm")
 
 
 class TestSharedStoreRefcounting:

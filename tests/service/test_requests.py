@@ -173,19 +173,21 @@ class TestValidation:
 
 class TestSweepConsistency:
     def test_cell_request_executes_like_run_cell(self, topology):
-        """A cell-derived request's payload equals the sweep record."""
+        """A cell-derived request's payload equals the sweep record,
+        for a single walk and for a multi-start's best run."""
         from repro.sweep.grid import SweepCell, run_cell
 
-        cell = SweepCell(
-            family="paper", size=1, phi="paper", phi_alpha=0.0,
-            phi_seed=0, alpha=1.0, beta=1.0, epsilon=1e-4,
-            method="perturbed", seed=3, iterations=8, starts=1,
-            trisection_rounds=20, linalg="auto",
-        )
-        record, matrix = run_cell(cell)
-        payload = execute_request(request_from_cell(cell))
-        assert payload["result"] == record["result"]
-        assert payload["matrix"] == matrix.tolist()
+        for method, starts in (("perturbed", 1), ("multistart", 2)):
+            cell = SweepCell(
+                family="paper", size=1, phi="paper", phi_alpha=0.0,
+                phi_seed=0, alpha=1.0, beta=1.0, epsilon=1e-4,
+                method=method, seed=3, iterations=8, starts=starts,
+                trisection_rounds=20, linalg="auto",
+            )
+            record, matrix = run_cell(cell)
+            payload = execute_request(request_from_cell(cell))
+            assert payload["result"] == record["result"]
+            assert payload["matrix"] == matrix.tolist()
 
 
 class TestExecutePayloads:
