@@ -79,12 +79,13 @@ from repro.core.initializers import (
 )
 from repro.core.linesearch import TrisectionState
 from repro.core.perturbed import (
+    AdaptiveOptions,
     PerturbedOptions,
     PerturbedWalk,
     optimize_perturbed,
 )
 from repro.core.result import OptimizationResult
-from repro.exec import SerialExecutor, resolve_executor
+from repro.exec import SerialExecutor, executor_scope
 from repro.utils import perf
 from repro.utils.rng import RandomState, as_generator, spawn_generators
 
@@ -333,17 +334,26 @@ def optimize_multistart(
     and stream, whoever runs it.
 
     ``executor`` is resolved with
-    :func:`~repro.exec.executor.resolve_executor` (``None`` means the
-    process-wide default).  A serial executor runs the starts in
+    :func:`~repro.exec.executor.executor_scope` (``None`` means the
+    process-wide default; one built from a backend name is closed
+    before this returns).  A serial executor runs the starts in
     process, in lockstep (see the module docstring); any other backend
     name or :class:`~repro.exec.executor.Executor` instance runs one
     :func:`optimize_perturbed` task per start.  ``transport`` selects
     the process backend's payload transport (``"pickle"`` | ``"shm"``
     | ``"auto"``, see :mod:`repro.exec.shm`) when this call constructs
     the backend from a name.  Results are bit-identical across
-    executors and transports.
+    executors and transports.  ``options`` must be a trisection class
+    (:class:`AdaptiveOptions` or :class:`PerturbedOptions`); any other
+    raises :class:`TypeError`.
     """
     options = options or PerturbedOptions()
+    if not isinstance(options, (AdaptiveOptions, PerturbedOptions)):
+        raise TypeError(
+            "optimize_multistart runs trisection walks: options must be "
+            "AdaptiveOptions or PerturbedOptions, got "
+            f"{type(options).__name__}"
+        )
     rng = as_generator(seed)
     starts = default_start_portfolio(
         cost, random_starts=random_starts, delta_grid=delta_grid, seed=rng
@@ -352,25 +362,27 @@ def optimize_multistart(
     labels = [label for label, _ in starts]
     matrices = [matrix for _, matrix in starts]
     del starts
-    runner = resolve_executor(executor, transport=transport)
-    if isinstance(runner, SerialExecutor):
-        # Support-value probes do not fuse (one call per ray either
-        # way), so the sparse path advances one walk at a time.
-        width = len(matrices) if cost._probe_template() is None else 1
-        runs = []
-        while matrices:
-            # Taken out of the lists, a group's start matrices are
-            # released once its walks are done with them.
-            group, group_streams = matrices[:width], streams[:width]
-            del matrices[:width], streams[:width]
-            runs.extend(_run_lockstep(cost, group, group_streams, options))
-    else:
-        runs = runner.map(
-            _run_start,
-            [
-                (cost, matrix, stream, options)
-                for matrix, stream in zip(matrices, streams)
-            ],
-        )
+    with executor_scope(executor, transport=transport) as runner:
+        if isinstance(runner, SerialExecutor):
+            # Support-value probes do not fuse (one call per ray either
+            # way), so the sparse path advances one walk at a time.
+            width = len(matrices) if cost._probe_template() is None else 1
+            runs = []
+            while matrices:
+                # Taken out of the lists, a group's start matrices are
+                # released once its walks are done with them.
+                group, group_streams = matrices[:width], streams[:width]
+                del matrices[:width], streams[:width]
+                runs.extend(
+                    _run_lockstep(cost, group, group_streams, options)
+                )
+        else:
+            runs = runner.map(
+                _run_start,
+                [
+                    (cost, matrix, stream, options)
+                    for matrix, stream in zip(matrices, streams)
+                ],
+            )
     best = min(runs, key=lambda run: run.best_u_eps)
     return MultiStartResult(best=best, runs=runs, start_labels=labels)

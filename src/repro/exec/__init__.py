@@ -9,6 +9,7 @@ from repro.exec.executor import (
     TaskTimings,
     ThreadExecutor,
     default_executor,
+    executor_scope,
     get_executor,
     resolve_executor,
     set_default_executor,
@@ -33,6 +34,7 @@ __all__ = [
     "TaskTimings",
     "TensorHandle",
     "default_executor",
+    "executor_scope",
     "get_executor",
     "resolve_executor",
     "set_default_executor",

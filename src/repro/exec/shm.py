@@ -44,13 +44,6 @@ read-only tensors cross the process boundary exactly once:
   bytes out and unlinks on receipt, so result segments never outlive
   the fan-out).  With ``share=False`` this is plain pickle, byte-count
   comparable — either way the parent can account ``result_bytes``.
-
-Stores are *owner-refcounted* so several executors (or several pool
-generations of a sweep) can share one store: :meth:`~SharedTensorStore.
-retain` adds an owner, :meth:`~SharedTensorStore.close` releases one,
-and segments are unlinked only when the last owner closes.  This is
-what lets a scenario sweep broadcast each distinct topology once per
-machine rather than once per pool.
 """
 
 from __future__ import annotations
@@ -267,7 +260,7 @@ def _close_open_stores() -> None:
     """Last-resort sweep: unlink any store the owner forgot to close."""
     for store in list(_open_stores):
         try:
-            store._finalize()
+            store.close()
         except Exception:  # pragma: no cover - shutdown best-effort
             pass
 
@@ -277,12 +270,8 @@ class SharedTensorStore:
 
     Also usable as a context manager (``with SharedTensorStore() as
     store``), closing — and therefore unlinking — on exit even when the
-    body raises.  Stores are owner-refcounted: a freshly constructed
-    store has one owner, :meth:`retain` adds one, and :meth:`close`
-    releases one — segments are unlinked only when the last owner
-    closes.  Extra ``close`` calls after full closure are no-ops; an
-    atexit sweep force-closes any store still open at interpreter
-    shutdown.
+    body raises.  Extra ``close`` calls are no-ops; an atexit sweep
+    closes any store still open at interpreter shutdown.
 
     ``broadcast_requests`` / ``broadcast_hits`` count how often
     :meth:`broadcast` was asked to ship an object versus how often a
@@ -301,7 +290,6 @@ class SharedTensorStore:
         self._in_flight: set = set()
         self._pinned: List[object] = []
         self._closed = False
-        self._owners = 1
         self.broadcast_requests = 0
         self.broadcast_hits = 0
         self._tag = uuid.uuid4().hex[:8]
@@ -379,39 +367,13 @@ class SharedTensorStore:
         with self._lock:
             return [e.shm.name for e in self._segments.values()]
 
-    def retain(self) -> "SharedTensorStore":
-        """Register another owner; every owner must ``close`` once.
-
-        Raises :class:`RuntimeError` if the store is already fully
-        closed (its segments are gone — a new store is needed).
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("SharedTensorStore is closed")
-            self._owners += 1
-            return self
-
     def close(self) -> None:
-        """Release one owner; the last release unlinks every segment.
-
-        Calling ``close`` after full closure is a no-op, so the
-        ``with`` protocol and defensive double-closes stay safe.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._owners -= 1
-            if self._owners > 0:
-                return
-        self._finalize()
-
-    def _finalize(self) -> None:
-        """Unconditionally unlink every owned segment.  Idempotent."""
+        """Unlink every owned segment.  Idempotent, so the ``with``
+        protocol and defensive double-closes stay safe."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._owners = 0
             for entry in self._segments.values():
                 entry.unlink()
             self._segments.clear()

@@ -9,10 +9,10 @@ All three drivers fan out over independent tasks and accept an
 ``executor`` argument (see :mod:`repro.exec`): ``None`` uses the ambient
 default installed by :func:`repro.exec.using_executor` (how the CLI's
 ``--jobs`` flag reaches here), a backend name (``"serial"``,
-``"thread"``, ``"process"``) constructs one, and an
-:class:`~repro.exec.Executor` instance is used as-is.  Each task's
-randomness comes from its own pre-spawned stream, so results are
-bit-identical across backends.
+``"thread"``, ``"process"``) constructs one that is closed before the
+driver returns, and an :class:`~repro.exec.Executor` instance is used
+as-is.  Each task's randomness comes from its own pre-spawned stream,
+so results are bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.api import OPTIMIZER_REGISTRY, optimize
 from repro.core.cost import CostWeights, CoverageCost
 from repro.core.perturbed import PerturbedOptions
 from repro.core.result import OptimizationResult
-from repro.exec import resolve_executor
+from repro.exec import executor_scope
 from repro.simulation.engine import SimulationOptions, simulate_schedule
 from repro.topology.model import Topology
 from repro.utils.rng import spawn_generators
@@ -89,9 +89,8 @@ def run_many(
         (algorithm, cost, iterations, trisection_rounds, rng)
         for rng in spawn_generators(seed, runs)
     ]
-    return resolve_executor(executor, transport=transport).map(
-        _run_one, tasks
-    )
+    with executor_scope(executor, transport=transport) as runner:
+        return runner.map(_run_one, tasks)
 
 
 def optimize_weight_setting(
@@ -187,9 +186,8 @@ def simulate_repeatedly(
         (topology, matrix, transitions, warmup, rng)
         for rng in spawn_generators(seed, repetitions)
     ]
-    return resolve_executor(executor, transport=transport).map(
-        _simulate_one, tasks
-    )
+    with executor_scope(executor, transport=transport) as runner:
+        return runner.map(_simulate_one, tasks)
 
 
 def metric_band(values: Sequence[float]) -> SimulationBand:

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.exec import resolve_executor
+from repro.exec import executor_scope
 from repro.topology.model import Topology
 from repro.utils.linalg import is_row_stochastic
 from repro.utils.rng import RandomState, spawn_generators
@@ -183,11 +183,11 @@ def simulate_team_repeatedly(
 
     Replications fan out over the :mod:`repro.exec` execution layer —
     ``executor`` accepts a backend name (``"serial"``/``"thread"``/
-    ``"process"``), an ``Executor`` instance, or ``None`` for the ambient
-    default (set by ``--jobs`` on the CLI or
-    :func:`repro.exec.using_executor`).  Each replication draws from its
-    own pre-spawned child stream, so results are bit-identical on every
-    backend and at every worker count.
+    ``"process"``, closed before this returns), an ``Executor``
+    instance, or ``None`` for the ambient default (set by ``--jobs`` on
+    the CLI or :func:`repro.exec.using_executor`).  Each replication
+    draws from its own pre-spawned child stream, so results are
+    bit-identical on every backend and at every worker count.
 
     ``transport`` selects the process backend's payload transport when
     ``executor`` names a backend (see :mod:`repro.exec.shm`).
@@ -206,6 +206,5 @@ def simulate_team_repeatedly(
         (topology, matrices, horizon, starts, rng)
         for rng in spawn_generators(seed, repetitions)
     ]
-    return resolve_executor(executor, transport=transport).map(
-        _simulate_team_task, tasks
-    )
+    with executor_scope(executor, transport=transport) as runner:
+        return runner.map(_simulate_team_task, tasks)

@@ -298,3 +298,18 @@ class TestLockstepMultistart:
             cost, random_starts=2, seed=11, options=opts
         )
         self._assert_identical(reference, lockstep)
+
+    def test_rejects_non_trisection_options(self, topology3):
+        from repro.core.perturbed import BasicDescentOptions
+
+        cost = CoverageCost(topology3, CostWeights(alpha=1.0, beta=1.0))
+        with pytest.raises(TypeError) as raised:
+            optimize_multistart(
+                cost, random_starts=1,
+                options=BasicDescentOptions(max_iterations=2),
+            )
+        message = str(raised.value)
+        for name in (
+            "BasicDescentOptions", "AdaptiveOptions", "PerturbedOptions"
+        ):
+            assert name in message
