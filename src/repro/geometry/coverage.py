@@ -26,11 +26,18 @@ from repro.geometry.segments import (
 )
 
 
+#: Relative slack on the rim of a stationary sensor's disc.  A target at
+#: distance exactly ``radius`` is covered, and round-off of a few ulps
+#: (say, from translating or rotating the scene) must not uncover it.
+RIM_RTOL = 1e-10
+
+
 def covers_point(sensor: PointLike, target: PointLike, radius: float) -> bool:
-    """Whether a sensor at ``sensor`` covers ``target`` with range ``radius``."""
+    """Whether a sensor at ``sensor`` covers ``target`` with range ``radius``
+    (up to :data:`RIM_RTOL` beyond the rim)."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    return distance(sensor, target) <= radius
+    return distance(sensor, target) <= radius * (1.0 + RIM_RTOL)
 
 
 def chord_through_disc(
@@ -45,14 +52,14 @@ def chord_through_disc(
     tangent point (zero coverage time).
 
     A degenerate (zero-length) segment returns ``(0.0, 1.0)`` if its point
-    lies inside the disc: the "path" is the point itself.
+    is covered (:func:`covers_point`): the "path" is the point itself.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     center = as_point(center)
     length = segment.length()
     if length <= 1e-12:
-        if distance(segment.start, center) <= radius:
+        if covers_point(segment.start, center, radius):
             return (0.0, 1.0)
         return None
     if point_segment_distance(center, segment) > radius:
@@ -134,7 +141,8 @@ def _chunk_chords(coords, radius, origins, destinations, first):
     t_seg = np.where(degenerate, 0.0, _min1(_max0(t_line)))
     gap_x, gap_y = x - (sx + dx * t_seg), y - (sy + dy * t_seg)
     leg, poi = np.nonzero(np.hypot(gap_x, gap_y) <= radius * (1.0 + 1e-9))
-    inside = _hypot(gap_x[leg, poi], gap_y[leg, poi]) <= radius
+    reach = np.where(degenerate[leg, 0], radius * (1.0 + RIM_RTOL), radius)
+    inside = _hypot(gap_x[leg, poi], gap_y[leg, poi]) <= reach
     leg, poi = leg[inside], poi[inside]
     # Line distance and Pythagoras half-chord, on the hits only.
     dx, dy, t_line = dx[leg, 0], dy[leg, 0], t_line[leg, poi]

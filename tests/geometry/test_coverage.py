@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from repro.geometry.coverage import (
     chord_through_disc,
     coverage_fraction,
     covers_point,
+    leg_chords,
     passes_through,
 )
 from repro.geometry.points import Point
@@ -29,6 +31,17 @@ class TestCoversPoint:
 
     def test_outside(self):
         assert not covers_point((0, 0), (3, 0), radius=2.0)
+
+    def test_rim_survives_round_off(self):
+        """A target on the rim stays covered when the scene is rotated."""
+        c, s = math.cos(1.5), math.sin(1.5)
+        sensor, target = (2.0, 0.0), (2.0 - s, c)
+        assert math.hypot(target[0] - 2.0, target[1]) > 1.0
+        assert covers_point(sensor, target, radius=1.0)
+        assert coverage_fraction(seg(*sensor, *sensor), target, 1.0) == 1.0
+        legs = leg_chords(np.array([sensor, target]), 1.0, [0], [0])
+        assert [a.tolist() for a in legs] == [[0, 0], [0, 1], [0.0, 0.0],
+                                              [1.0, 1.0]]
 
     def test_negative_radius(self):
         with pytest.raises(ValueError, match="radius"):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.coverage import chord_through_disc, coverage_fraction
@@ -40,6 +40,8 @@ def translate(point: Point, dx: float, dy: float) -> Point:
     cx=coords, cy=coords, r=radii, theta=angles,
     dx=coords, dy=coords,
 )
+@example(ax=0.0, ay=0.0, bx=0.0, by=0.0, cx=0.0, cy=1.0, r=1.0, theta=1.5,
+         dx=2.0, dy=0.0)  # a stationary sensor with the PoI on its rim
 def test_coverage_fraction_rigid_invariance(
     ax, ay, bx, by, cx, cy, r, theta, dx, dy
 ):
