@@ -14,7 +14,7 @@ Python iteration per transition.  Two claims are measured (see
    100k transitions.
 
 Results are written to ``benchmarks/results/BENCH_sim.json`` (the
-oracle's timings under ``loop_seconds``).  Chord tables are warmed
+oracle's timings under ``oracle_seconds``).  Chord tables are warmed
 before timing so both are measured on the per-transition work, not the
 shared O(M^3) geometry precompute (which is cached on the topology and
 paid once per process).
@@ -71,12 +71,12 @@ def _check(condition: bool, message: str) -> None:
         raise CheckFailure(message)
 
 
-def _results_identical(loop, vectorized) -> list:
+def _results_identical(reference, vectorized) -> list:
     """Names of SimulationResult fields the engine and the oracle
     disagree on."""
     mismatched = []
-    for field in fields(loop):
-        expected = getattr(loop, field.name)
+    for field in fields(reference):
+        expected = getattr(reference, field.name)
         actual = getattr(vectorized, field.name)
         if expected is None or actual is None:
             if expected is not actual:
@@ -111,7 +111,7 @@ def bench_cell(size: int, transitions: int, seed: int, warmup: int,
     timings = {}
     results = {}
     runs = {
-        "loop": lambda: oracle.simulate_schedule(
+        "oracle": lambda: oracle.simulate_schedule(
             topology, matrix, transitions, seed=seed, warmup=warmup,
             record_path=True,
         ),
@@ -128,20 +128,20 @@ def bench_cell(size: int, transitions: int, seed: int, warmup: int,
             best = min(best, time.perf_counter() - started)
         timings[name] = best
 
-    mismatched = _results_identical(results["loop"], results["vectorized"])
+    mismatched = _results_identical(results["oracle"], results["vectorized"])
     _check(
         not mismatched,
         f"{size} PoIs / {transitions} transitions: engine and oracle "
         "disagree on "
         f"{', '.join(mismatched)}",
     )
-    speedup = timings["loop"] / timings["vectorized"]
+    speedup = timings["oracle"] / timings["vectorized"]
     return {
         "topology_size": size,
         "transitions": transitions,
         "warmup": warmup,
         "seed": seed,
-        "loop_seconds": timings["loop"],
+        "oracle_seconds": timings["oracle"],
         "vectorized_seconds": timings["vectorized"],
         "speedup": speedup,
         "bit_identical": True,
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
                   flush=True)
             cell = bench_cell(size, transitions, args.seed, args.warmup)
             cells.append(cell)
-            print(f"  oracle {cell['loop_seconds']:.2f}s, engine "
+            print(f"  oracle {cell['oracle_seconds']:.2f}s, engine "
                   f"{cell['vectorized_seconds']:.2f}s -> "
                   f"{cell['speedup']:.1f}x, bit-identical")
         if not args.check_only:
@@ -201,8 +201,10 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count(),
         },
         "note": (
-            "speedup = loop_seconds / vectorized_seconds per cell, "
-            "loop_seconds timing the per-step oracle in tests/oracles; "
+            "speedup = oracle_seconds / vectorized_seconds per cell "
+            "(best of 3), oracle_seconds timing the per-step reference "
+            "simulator in tests/oracles (test equipment, not a shipped "
+            "engine); "
             "engine and oracle produce bit-identical SimulationResult "
             "values, checked field-by-field each run"
         ),

@@ -15,7 +15,7 @@ iteration per transition.  Two claims are measured (see
    5x on every cell with K >= 4 sensors.
 
 Results are written to ``benchmarks/results/BENCH_team.json`` (the
-oracle's timings under ``loop_seconds``).  Chord tables are warmed
+oracle's timings under ``oracle_seconds``).  Chord tables are warmed
 before timing so both are measured on the per-transition work, not the
 shared O(M^3) geometry precompute.
 
@@ -72,12 +72,12 @@ def _check(condition: bool, message: str) -> None:
         raise CheckFailure(message)
 
 
-def _results_identical(loop, vectorized) -> list:
+def _results_identical(reference, vectorized) -> list:
     """Names of TeamSimulationResult fields the engine and the oracle
     disagree on."""
     mismatched = []
-    for field in fields(loop):
-        expected = np.asarray(getattr(loop, field.name))
+    for field in fields(reference):
+        expected = np.asarray(getattr(reference, field.name))
         actual = np.asarray(getattr(vectorized, field.name))
         equal_nan = expected.dtype.kind == "f"
         if expected.shape != actual.shape or not np.array_equal(
@@ -107,7 +107,7 @@ def bench_cell(size: int, sensors: int, horizon: float, seed: int,
     timings = {}
     results = {}
     for name, simulate in (
-        ("loop", oracle.simulate_team), ("vectorized", simulate_team)
+        ("oracle", oracle.simulate_team), ("vectorized", simulate_team)
     ):
         best = np.inf
         for _ in range(repeats):
@@ -116,7 +116,7 @@ def bench_cell(size: int, sensors: int, horizon: float, seed: int,
             best = min(best, time.perf_counter() - started)
         timings[name] = best
 
-    mismatched = _results_identical(results["loop"], results["vectorized"])
+    mismatched = _results_identical(results["oracle"], results["vectorized"])
     _check(
         not mismatched,
         f"{size} PoIs / K={sensors}: engine and oracle disagree on "
@@ -126,7 +126,7 @@ def bench_cell(size: int, sensors: int, horizon: float, seed: int,
         check_team_result(results["vectorized"])
     except ValueError as error:
         raise CheckFailure(str(error)) from error
-    speedup = timings["loop"] / timings["vectorized"]
+    speedup = timings["oracle"] / timings["vectorized"]
     return {
         "topology_size": size,
         "sensors": sensors,
@@ -135,7 +135,7 @@ def bench_cell(size: int, sensors: int, horizon: float, seed: int,
             results["vectorized"].transitions.mean()
         ),
         "seed": seed,
-        "loop_seconds": timings["loop"],
+        "oracle_seconds": timings["oracle"],
         "vectorized_seconds": timings["vectorized"],
         "speedup": speedup,
         "bit_identical": True,
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
                   flush=True)
             cell = bench_cell(size, sensors, horizon, args.seed)
             cells.append(cell)
-            print(f"  oracle {cell['loop_seconds']:.2f}s, engine "
+            print(f"  oracle {cell['oracle_seconds']:.2f}s, engine "
                   f"{cell['vectorized_seconds']:.2f}s -> "
                   f"{cell['speedup']:.1f}x, bit-identical")
         if not args.check_only:
@@ -193,8 +193,10 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count(),
         },
         "note": (
-            "speedup = loop_seconds / vectorized_seconds per cell, "
-            "loop_seconds timing the per-event oracle in tests/oracles; "
+            "speedup = oracle_seconds / vectorized_seconds per cell "
+            "(best of 3), oracle_seconds timing the per-event reference "
+            "simulator in tests/oracles (test equipment, not a shipped "
+            "engine); "
             "engine and oracle produce bit-identical "
             "TeamSimulationResult values, checked field-by-field each "
             "run; cells with K >= 4 enforce the 5x acceptance floor"

@@ -176,6 +176,10 @@ def simulate_repeatedly(
     ``transport`` selects the process backend's payload transport when
     ``executor`` names a backend (see :mod:`repro.exec.shm`).
     """
+    if repetitions < 1:
+        raise ValueError(
+            f"repetitions must be >= 1, got {repetitions}"
+        )
     if warmup is None:
         warmup = max(transitions // 10, 100)
     # Warm the chord-table cache before the tasks are built: every task

@@ -30,7 +30,11 @@ from repro.exec import executor_scope
 from repro.topology.model import Topology
 from repro.utils.linalg import is_row_stochastic
 from repro.utils.rng import RandomState, spawn_generators
-from repro.utils.validation import check_index, check_square
+from repro.utils.validation import (
+    check_index,
+    check_positive,
+    check_square,
+)
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,7 @@ def simulate_team(
         convention on :class:`TeamSimulationResult`).  Each entry must
         be a PoI index in ``[0, M)``.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    horizon = check_positive("horizon", horizon)
     matrices = [check_square(f"matrices[{k}]", m)
                 for k, m in enumerate(matrices)]
     if not matrices:
@@ -151,7 +154,7 @@ def simulate_team(
         )
     return TeamSimulationResult(
         sensors=len(matrices),
-        horizon=float(horizon),
+        horizon=horizon,
         coverage_shares=coverage,
         per_sensor_shares=per_sensor_shares,
         exposure_mean=exposure_mean,

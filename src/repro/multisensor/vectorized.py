@@ -17,15 +17,16 @@ and one Python tuple per coverage interval:
    pauses — and clips them to ``[0, horizon]`` with the same comparisons
    the oracle applies per interval.
 2. **Shared interval kernels.**  Per-sensor coverage fractions reduce to
-   :func:`repro.simulation.intervals.grouped_union_length` per sensor,
-   and the team's K-way union — coverage of a PoI by *at least one*
-   sensor, exposure gaps where *no* sensor is in range — reduces to one
+   one :func:`repro.simulation.intervals.grouped_union_length` pass over
+   groups ``sensor * size + poi``, and the team's K-way union — coverage
+   of a PoI by *at least one* sensor, exposure gaps where *no* sensor is
+   in range — reduces to one
    :func:`repro.simulation.intervals.grouped_coverage` pass over the
    sensor-concatenated, PoI-major interval stream.
 
 Bit-exactness mirrors the single-sensor engine's argument
 (:mod:`repro.simulation.vectorized`): sequential ``np.cumsum`` clocks,
-identical elementwise interval expressions, and stable sorts that feed
+identical elementwise interval expressions, and stable lexsorts that feed
 each kernel the exact sequences the oracle's accumulators see
 (sensor-major emission order within equal start times).  Over-drawing a
 sensor's RNG stream past its stopping step is harmless: the surplus
@@ -43,15 +44,18 @@ from repro.simulation.vectorized import horizon_interval_stream
 from repro.topology.model import Topology
 
 
-def _poi_major_order(poi: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Indices sorting a stream PoI-major, by start within each PoI.
+def _major_order(
+    groups: np.ndarray, starts: np.ndarray, size: int
+) -> np.ndarray:
+    """Indices sorting a stream group-major, by start within each group.
 
-    Both sorts are stable, so intervals with equal starts keep their
+    ``np.lexsort`` is stable, so intervals with equal starts keep their
     incoming (sensor-major emission) order — exactly the order Python's
     stable ``sorted(..., key=start)`` produces from the same stream.
+    The group key is cast to the narrowest integer type holding
+    ``size`` groups: NumPy radix-sorts keys of 16 bits or fewer.
     """
-    order = np.argsort(starts, kind="stable")
-    return order[np.argsort(poi[order], kind="stable")]
+    return np.lexsort((starts, groups.astype(np.min_scalar_type(size))))
 
 
 def simulate_team_vectorized(
@@ -71,7 +75,6 @@ def simulate_team_vectorized(
     size = topology.size
     count = len(matrices)
 
-    per_sensor_shares = np.zeros((count, size))
     transitions = np.zeros(count, dtype=np.int64)
     poi_parts = []
     start_parts = []
@@ -81,21 +84,27 @@ def simulate_team_vectorized(
         poi, lo, hi, transitions[index] = horizon_interval_stream(
             topology, matrix, horizon, rng, start
         )
-        order = _poi_major_order(poi, lo)
-        per_sensor_shares[index] = grouped_union_length(
-            poi[order], lo[order], hi[order], size
-        ) / horizon
         poi_parts.append(poi)
         start_parts.append(lo)
         end_parts.append(hi)
 
-    # K-way union on the shared clock: concatenate sensor-major (the
-    # order the oracle builds its per-PoI lists in), then one
-    # grouped pass computes union coverage and team exposure gaps.
+    # Concatenated sensor-major: the order the oracle builds its per-PoI
+    # lists in.
     poi = np.concatenate(poi_parts)
     lo = np.concatenate(start_parts)
     hi = np.concatenate(end_parts)
-    order = _poi_major_order(poi, lo)
+
+    # Per-sensor coverage: one union pass over groups sensor * size + poi.
+    sensor = np.repeat(np.arange(count), [part.size for part in poi_parts])
+    groups = sensor * size + poi
+    order = _major_order(groups, lo, count * size)
+    per_sensor_shares = grouped_union_length(
+        groups[order], lo[order], hi[order], count * size
+    ).reshape(count, size) / horizon
+
+    # K-way union on the shared clock: one grouped pass computes union
+    # coverage and team exposure gaps.
+    order = _major_order(poi, lo, size)
     covered, gap_sum, gap_count = grouped_coverage(
         poi[order], lo[order], hi[order], size
     )

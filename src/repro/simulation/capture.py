@@ -38,7 +38,7 @@ from repro.simulation.vectorized import horizon_interval_stream
 from repro.topology.model import Topology
 from repro.utils.linalg import is_row_stochastic
 from repro.utils.rng import RandomState, spawn_generators
-from repro.utils.validation import check_square
+from repro.utils.validation import check_positive, check_square
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,7 @@ def simulate_event_capture(
         )
     if not is_row_stochastic(matrix):
         raise ValueError("matrix must be row-stochastic")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    horizon = check_positive("horizon", horizon)
     if lifetime < 0:
         raise ValueError(f"lifetime must be >= 0, got {lifetime}")
     size = topology.size
@@ -166,7 +165,7 @@ def simulate_event_capture(
         event_counts=counts,
         coverage_shares=coverage,
         mean_gaps=gaps,
-        horizon=float(horizon),
+        horizon=horizon,
     )
 
 

@@ -337,8 +337,9 @@ def simulate_schedule_vectorized(
     )
 
     # Stable sort: PoI-major, each PoI's intervals kept in timeline order
-    # — the exact sequences the oracle feeds its accumulators.
-    order = np.argsort(poi, kind="stable")
+    # — the exact sequences the oracle feeds its accumulators.  NumPy
+    # radix-sorts the narrowest integer key holding ``size`` PoIs.
+    order = np.argsort(poi.astype(np.min_scalar_type(size)), kind="stable")
     covered, gap_sum, gap_count = grouped_coverage(
         poi[order], interval_starts[order], interval_ends[order], size
     )

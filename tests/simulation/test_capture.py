@@ -91,6 +91,13 @@ class TestValidation:
                 topology, uniform_matrix(4), 0.0, 0.1, 1.0
             )
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, 0.0])
+    def test_horizon_must_be_positive_and_finite(self, topology, horizon):
+        with pytest.raises(ValueError, match="horizon must be"):
+            simulate_event_capture(
+                topology, uniform_matrix(4), horizon, 0.1, 1.0
+            )
+
     def test_rejects_negative_lifetime(self, topology):
         with pytest.raises(ValueError, match="lifetime"):
             simulate_event_capture(

@@ -2,20 +2,31 @@
 
 The array kernels are checked two ways: against tiny hand-computed
 examples, and against the reference implementations they replace
-(the oracle's ``IntervalAccumulator`` and brute-force loops) on
-randomized interval streams.
+(the oracle's ``IntervalAccumulator``, the team oracle's
+``union_length`` and brute-force loops) on randomized interval streams,
+including Hypothesis-generated ones that span every block shape of the
+grouped kernels.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.intervals import (
+    BLOCK_CELLS,
     count_caught,
     gap_lengths,
     grouped_coverage,
+    grouped_union_length,
     merge_intervals,
 )
 from tests.oracles.events import IntervalAccumulator
+from tests.oracles.simulation import union_length
+
+MERGE_TOL = 1e-9
 
 
 def _random_stream(rng, count, max_start=100.0):
@@ -183,3 +194,176 @@ class TestGroupedCoverage:
         assert covered[0] == 3.0
         assert gap_sum[0] == 2.0
         assert gap_count[0] == 1
+
+
+# ---------------------------------------------------------------------- #
+# Differential tests: the grouped kernels against the per-PoI oracles,
+# bit for bit (``tobytes``), so any change of summation order fails.
+# ---------------------------------------------------------------------- #
+
+#: Per-group interval counts spanning several length classes, from
+#: empty and one-interval groups to rows past a quarter of the cap.
+_LENGTHS = [0, 1, 2, 3, 5, 9, 17, 40, 100, 300, 1100, 2100]
+
+
+def _timeline(rng, count):
+    """``count`` intervals of one group with non-decreasing starts.
+
+    Mixes equal starts, zero-length intervals, starts exactly
+    ``MERGE_TOL`` past the running covered end (a gap the tolerance
+    bridges), and plain gaps; the first start may sit exactly at the
+    tolerance past the origin.
+    """
+    starts = np.empty(count)
+    ends = np.empty(count)
+    running_end = 0.0
+    for index in range(count):
+        mode = int(rng.integers(4))
+        if index == 0:
+            start = float(rng.choice([0.0, MERGE_TOL, 0.5,
+                                      rng.uniform(0.0, 10.0)]))
+        elif mode == 0:
+            start = starts[index - 1]
+        elif mode == 1:
+            start = running_end + MERGE_TOL
+        elif mode == 2:
+            start = starts[index - 1] + rng.uniform(0.0, 3.0)
+        else:
+            start = running_end + rng.uniform(0.0, 5.0)
+        length = float(rng.choice([0.0, rng.uniform(0.0, 1.0),
+                                   rng.uniform(0.0, 20.0)]))
+        starts[index] = start
+        ends[index] = start + length
+        running_end = max(running_end, ends[index])
+    return starts, ends
+
+
+@st.composite
+def grouped_timelines(draw):
+    """Per-group ``(starts, ends)`` timelines with skewed lengths."""
+    lengths = draw(st.lists(st.sampled_from(_LENGTHS), min_size=1,
+                            max_size=24))
+    lengths += [1] * draw(st.integers(0, 48))
+    if draw(st.booleans()):
+        lengths.append(BLOCK_CELLS + draw(st.integers(1, 64)))
+    lengths = draw(st.permutations(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [_timeline(rng, count) for count in lengths]
+
+
+def _stream(timelines):
+    """Concatenate group timelines into a group-major stream."""
+    groups = np.repeat(np.arange(len(timelines)),
+                       [s.size for s, _ in timelines])
+    starts = np.concatenate([s for s, _ in timelines])
+    ends = np.concatenate([e for _, e in timelines])
+    return groups, starts, ends
+
+
+def _accumulate(pairs):
+    accumulator = IntervalAccumulator(origin=0.0)
+    for lo, hi in pairs:
+        accumulator.add(lo, hi, merge_tol=MERGE_TOL)
+    return accumulator
+
+
+def _assert_coverage_matches(poi, starts, ends, per_poi):
+    covered, gap_sum, gap_count = grouped_coverage(
+        poi, starts, ends, len(per_poi), merge_tol=MERGE_TOL
+    )
+    accumulators = [_accumulate(pairs) for pairs in per_poi]
+    assert covered.tobytes() == np.array(
+        [a.covered_time for a in accumulators]).tobytes()
+    assert gap_sum.tobytes() == np.array(
+        [a.gap_total for a in accumulators]).tobytes()
+    assert gap_count.tolist() == [a.gap_count for a in accumulators]
+
+
+class TestGroupedKernelsDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(grouped_timelines())
+    def test_grouped_coverage_matches_accumulator(self, timelines):
+        poi, starts, ends = _stream(timelines)
+        _assert_coverage_matches(
+            poi, starts, ends,
+            [list(zip(s.tolist(), e.tolist())) for s, e in timelines],
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(grouped_timelines())
+    def test_grouped_union_length_matches_oracle(self, timelines):
+        groups, starts, ends = _stream(timelines)
+        totals = grouped_union_length(groups, starts, ends, len(timelines))
+        expected = [union_length(list(zip(s.tolist(), e.tolist())))
+                    for s, e in timelines]
+        assert totals.tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_team_groups_match_oracles(self, sensors, size, seed):
+        """Team-style streams: per-sensor unions over groups
+        ``sensor * size + poi`` and the K-way union over PoIs, both
+        ordered by the stable lexsort the team engine uses."""
+        rng = np.random.default_rng(seed)
+        per_sensor = [
+            [_timeline(rng, int(rng.choice(_LENGTHS[:9])))
+             for _ in range(size)]
+            for _ in range(sensors)
+        ]
+        # Each sensor's emission order: its PoIs' intervals interleaved
+        # in start order; sensors concatenated sensor-major.
+        sensor_ids, poi_ids, starts, ends = [], [], [], []
+        for sensor, timelines in enumerate(per_sensor):
+            poi, s, e = _stream(timelines)
+            emission = np.argsort(s, kind="stable")
+            sensor_ids.append(np.full(s.size, sensor))
+            poi_ids.append(poi[emission])
+            starts.append(s[emission])
+            ends.append(e[emission])
+        sensor_ids = np.concatenate(sensor_ids)
+        poi = np.concatenate(poi_ids)
+        starts = np.concatenate(starts)
+        ends = np.concatenate(ends)
+
+        groups = sensor_ids * size + poi
+        order = np.lexsort((starts, groups))
+        shares = grouped_union_length(
+            groups[order], starts[order], ends[order], sensors * size
+        )
+        expected = [union_length(list(zip(s.tolist(), e.tolist())))
+                    for timelines in per_sensor for s, e in timelines]
+        assert shares.tobytes() == np.array(expected).tobytes()
+
+        order = np.lexsort((starts, poi))
+        per_poi = [
+            sorted(
+                (pair for timelines in per_sensor
+                 for pair in zip(timelines[index][0].tolist(),
+                                 timelines[index][1].tolist())),
+                key=lambda pair: pair[0],
+            )
+            for index in range(size)
+        ]
+        _assert_coverage_matches(
+            poi[order], starts[order], ends[order], per_poi
+        )
+
+
+class TestBlockMemory:
+    def test_long_stream_peak_is_bounded(self):
+        """One call on a 10^6-interval, 64-PoI stream allocates well
+        under 8 MiB: blocks are capped at ``BLOCK_CELLS`` cells, where a
+        single padded layout of the whole stream would take ~70 MiB."""
+        per_poi = 15_625
+        poi = np.repeat(np.arange(64), per_poi)
+        starts = np.tile(np.arange(per_poi) * 10.0, 64)
+        ends = starts + (np.arange(poi.size) % 13)
+        for kernel in (grouped_coverage, grouped_union_length):
+            tracemalloc.start()
+            try:
+                kernel(poi, starts, ends, 64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (kernel.__name__, peak)

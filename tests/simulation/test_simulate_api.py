@@ -185,6 +185,23 @@ class TestFacadeErrors:
             simulate(topology, [matrix, matrix], kind="team",
                      horizon=10.0, sensors=3)
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, 0.0])
+    def test_team_horizon_must_be_positive_and_finite(
+        self, topology, matrix, horizon
+    ):
+        with pytest.raises(ValueError, match="horizon must be"):
+            simulate(topology, matrix, kind="team", horizon=horizon)
+
+    @pytest.mark.parametrize(
+        "kind, duration",
+        [("single", {"transitions": 10}), ("team", {"horizon": 10.0})],
+    )
+    def test_zero_repetitions_rejected(self, topology, matrix, kind,
+                                       duration):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            simulate(topology, matrix, kind=kind, repetitions=0,
+                     **duration)
+
 
 class TestRegistry:
     def test_registry_snapshot(self):
