@@ -30,11 +30,7 @@ from repro.core.registry import (
 )
 from repro.core.state import ChainState
 from repro.core.terms import ObjectiveTerm, TermBatch
-from repro.markov.sparse import (
-    HAVE_SPARSE,
-    SparseStationaryTemplate,
-    sparse_stationary,
-)
+from repro.markov.sparse import SparseStationaryTemplate, sparse_stationary
 from repro.topology.model import Topology
 from repro.utils import perf
 from repro.utils.linalg import project_row_sum_zero
@@ -51,27 +47,20 @@ def resolve_linalg(linalg: str, topology: Topology) -> str:
 
     ``"auto"`` picks sparse only when it actually pays off *and* keeps
     the paper-scale reference bit-exact: the topology must carry an
-    adjacency mask (else the core has no sparsity to exploit), scipy
-    must be importable, and the instance must be at least
-    :data:`SPARSE_AUTO_THRESHOLD` PoIs.  An explicit ``"sparse"`` is
-    honored at any size but raises without scipy.
+    adjacency mask (else the core has no sparsity to exploit) and the
+    instance must be at least :data:`SPARSE_AUTO_THRESHOLD` PoIs.  An
+    explicit ``"sparse"`` is honored at any size.  Resolving loads
+    nothing: scipy is imported by the sparse solvers on their first
+    use.
     """
     if linalg not in LINALG_MODES:
         raise ValueError(
             f"linalg must be one of {LINALG_MODES}, got {linalg!r}"
         )
-    if linalg == "dense":
-        return "dense"
-    if linalg == "sparse":
-        if not HAVE_SPARSE:
-            raise RuntimeError(
-                "linalg='sparse' requires scipy.sparse; install scipy "
-                "or use linalg='dense'"
-            )
-        return "sparse"
+    if linalg != "auto":
+        return linalg
     if (
-        HAVE_SPARSE
-        and topology.adjacency is not None
+        topology.adjacency is not None
         and topology.size >= SPARSE_AUTO_THRESHOLD
     ):
         return "sparse"

@@ -7,10 +7,10 @@ matrix (step 5 of the paper's computational algorithm, Section V).
 
 Two hot-path optimizations live here:
 
-* the core ``(I - P + W)`` is LU-factored exactly once; the factors
-  produce ``Z`` and remain available (:meth:`ChainState.solve_core`) for
-  any further solves against the same core, replacing the historical
-  ``solve`` + ``inv`` pair with a single decomposition;
+* a dense build performs exactly two decompositions, the stationary
+  solve and the ``inv`` that yields ``Z``; an LU of the core is made
+  only if a caller asks for solves against it
+  (:meth:`ChainState.solve_core`), on the first such call;
 * :meth:`ChainState.from_parts` assembles a state from an already-computed
   ``(pi, Z)`` — the batched line search hands its winning probe back to
   the optimizer this way, so an accepted step costs no new factorization.
@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.markov.fundamental import CoreFactorization, factor_core
+from repro.markov.fundamental import factor_core, fundamental_matrix
 from repro.markov.passage import first_passage_times
 from repro.markov.stationary import stationary_via_linear_solve
 from repro.utils import perf
@@ -118,15 +118,12 @@ class ChainState:
                 "stationary distribution has non-positive entries "
                 f"(min {pi.min():.3g}); the chain is not ergodic"
             )
-        factors = factor_core(matrix, pi)
-        z = factors.full_inverse()
-        # One stationary solve plus one core LU: the only dense
+        z = fundamental_matrix(matrix, pi)
+        # One stationary solve plus one core inverse: the only dense
         # decompositions a state build performs.
         perf.count("factorizations", 2)
         perf.count("state_builds")
-        state = cls(p=matrix, pi=pi, z=z)
-        state._lu_cache.append(factors)
-        return state
+        return cls(p=matrix, pi=pi, z=z)
 
     @classmethod
     def from_parts(
@@ -230,9 +227,9 @@ class ChainState:
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(I - P + W) x = rhs`` reusing the state's factors.
 
-        Sparse states and states assembled via :meth:`from_parts` carry
-        no factors; the core is factored lazily on first use (counted as
-        one factorization, or one sparse factorization).
+        No state is built with factors: the core is factored on the
+        first call (counted as one factorization, or one sparse
+        factorization) and the factors are reused after that.
         """
         return self._solver().solve(rhs)
 

@@ -25,7 +25,6 @@ from repro.markov.stationary import (
 from repro.markov.group_inverse import group_inverse
 from repro.markov.fundamental import fundamental_matrix
 from repro.markov.sparse import (
-    HAVE_SPARSE,
     SparseCoreSolver,
     sparse_fundamental_and_stationary,
     sparse_stationary,
@@ -53,7 +52,6 @@ __all__ = [
     "stationary_via_power_iteration",
     "group_inverse",
     "fundamental_matrix",
-    "HAVE_SPARSE",
     "SparseCoreSolver",
     "sparse_fundamental_and_stationary",
     "sparse_stationary",

@@ -15,65 +15,39 @@ import numpy as np
 from repro.markov.stationary import stationary_via_linear_solve
 from repro.utils.validation import check_square
 
-try:  # scipy exposes the reusable LU factors that numpy's inv hides.
-    from scipy.linalg import lu_factor as _lu_factor
-    from scipy.linalg import lu_solve as _lu_solve
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _lu_factor = None
-    _lu_solve = None
-
 
 class CoreFactorization:
-    """One LU factorization of the core ``(I - P + W)``, reused everywhere.
+    """One LU factorization of the core ``(I - P + W)`` for repeated solves.
 
-    The fundamental matrix ``Z``, the first-passage times built from it,
-    and the Schweitzer adjoints all reduce to solves against the same
-    core matrix.  Factoring it once and applying the factors
-    (``getrs``-style triangular solves) replaces the historical pattern
-    of one ``solve`` plus one ``inv`` per iterate with a single dense
-    decomposition.
+    Targeted products ``Z @ v`` / ``v^T Z`` (first-passage quantities,
+    Schweitzer adjoints) reduce to solves against the core; factoring it
+    once and applying the factors (``getrs``-style triangular solves)
+    serves any number of them.  A dense
+    :class:`~repro.core.state.ChainState` builds one lazily, on its
+    first :meth:`~repro.core.state.ChainState.solve_core`; its ``Z``
+    comes from :func:`fundamental_matrix` instead.
 
-    Falls back to re-solving via ``numpy.linalg.solve`` when scipy is
-    unavailable.
+    scipy is imported here, on first use, not with the package: dense
+    descents and simulations never solve against the core, so their
+    worker processes start without it.
     """
 
     def __init__(self, core: np.ndarray) -> None:
-        self._core = core
-        if _lu_factor is not None:
-            self._lu = _lu_factor(core)
-        else:  # pragma: no cover - scipy is a declared dependency
-            self._lu = None
+        from scipy.linalg import lu_factor
+
+        self._lu = lu_factor(core)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(I - P + W) x = rhs`` using the cached factors."""
-        if self._lu is not None:
-            return _lu_solve(self._lu, rhs)
-        return np.linalg.solve(self._core, rhs)  # pragma: no cover
+        from scipy.linalg import lu_solve
+
+        return lu_solve(self._lu, rhs)
 
     def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(I - P + W)^T x = rhs`` using the cached factors."""
-        if self._lu is not None:
-            return _lu_solve(self._lu, rhs, trans=1)
-        return np.linalg.solve(self._core.T, rhs)  # pragma: no cover
+        from scipy.linalg import lu_solve
 
-    def full_inverse(self) -> np.ndarray:
-        """The fundamental matrix ``Z`` — the core's full inverse.
-
-        ``O(M^2)`` memory and ``O(M^3)`` work; the small-``M`` dense
-        reference path.  Callers that only need ``Z @ v`` / ``v^T Z``
-        should use targeted :meth:`solve` / :meth:`solve_transpose`.
-
-        Computed by ``numpy.linalg.inv``, the routine the batched
-        evaluator (:meth:`repro.core.cost.CoverageCost.batch_evaluate`)
-        applies to a stack of cores, so a state built from scratch
-        carries bit for bit the ``Z`` of the same matrix handed back by
-        the line search.  (The LU factors' ``lu_solve`` against the
-        identity differs from it in the last bits on some matrices.)
-        """
-        return np.linalg.inv(self._core)
-
-    # Historical name, kept for callers predating the sparse path.
-    inverse = full_inverse
+        return lu_solve(self._lu, rhs, trans=1)
 
 
 def factor_core(matrix: np.ndarray, pi: np.ndarray) -> CoreFactorization:
@@ -95,6 +69,13 @@ def fundamental_matrix(
 
     ``pi`` may be supplied to avoid recomputing the stationary
     distribution; it is trusted as-is (callers own its accuracy).
+
+    Computed by ``numpy.linalg.inv``, the routine the batched evaluator
+    (:meth:`repro.core.cost.CoverageCost.batch_evaluate`) applies to a
+    stack of cores, so a state built from scratch carries bit for bit
+    the ``Z`` of the same matrix handed back by the line search.  (An
+    LU's ``lu_solve`` against the identity differs from it in the last
+    bits on some matrices.)
     """
     matrix = check_square("matrix", matrix)
     if pi is None:

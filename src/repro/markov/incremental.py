@@ -41,7 +41,6 @@ from typing import Optional
 import numpy as np
 
 from repro.markov.sparse import (
-    HAVE_SPARSE,
     SparseCoreSolver,
     changed_rows,
     sparse_stationary,
@@ -132,10 +131,6 @@ class IncrementalCoreTracker:
         max_updates: int = DEFAULT_MAX_UPDATES,
         stationary_solver=None,
     ) -> None:
-        if not HAVE_SPARSE:  # pragma: no cover - scipy is declared
-            raise RuntimeError(
-                "IncrementalCoreTracker requires scipy.sparse"
-            )
         if rank_cap < 1:
             raise ValueError(f"rank_cap must be >= 1, got {rank_cap}")
         if drift_tol <= 0:

@@ -22,7 +22,7 @@ full core then follow from one rank-one Sherman-Morrison correction:
     ``y = B^{-1} b``, ``h = B^{-1} 1``, ``v = pi - e_n``.
 
 :class:`SparseCoreSolver` packages this behind the same ``solve()`` /
-``full_inverse()`` contract as the dense
+``solve_transpose()`` contract as the dense
 :class:`~repro.markov.fundamental.CoreFactorization`, so stationary
 distributions, first-passage times (Eq. 8), and the Schweitzer adjoints
 route through it untouched.  :func:`sparse_stationary` solves the
@@ -30,8 +30,9 @@ stationary system itself through a sparse LU of the bordered
 ``(I - P^T;`` last row ones``)`` matrix with the exact sanitize
 semantics of :func:`~repro.markov.stationary.stationary_via_linear_solve`.
 
-scipy is a declared dependency, but every entry point degrades to the
-dense solvers when it is missing so the module imports everywhere.
+scipy is imported inside the functions that factor or assemble sparse
+systems, not with the module: :mod:`repro.core.cost` imports this module
+for every cost, dense ones included, and a dense run never loads scipy.
 """
 
 from __future__ import annotations
@@ -42,16 +43,6 @@ import numpy as np
 
 from repro.utils import perf
 from repro.utils.validation import check_square
-
-try:
-    from scipy import sparse as _sp
-    from scipy.sparse.linalg import splu as _splu
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _sp = None
-    _splu = None
-
-#: Whether the sparse path is available at all in this environment.
-HAVE_SPARSE = _splu is not None
 
 #: Column ordering for every ``splu`` in this module.  The feasible
 #: graphs behind the sparse path (city grids, ring-of-grids) are nearly
@@ -68,17 +59,11 @@ _SPLU_OPTIONS = {"SymmetricMode": True, "DiagPivotThresh": 0.1}
 
 
 def _factorize(system):
-    return _splu(
+    from scipy.sparse.linalg import splu
+
+    return splu(
         system, permc_spec=_PERMC_SPEC, options=dict(_SPLU_OPTIONS)
     )
-
-
-def _require_scipy() -> None:
-    if not HAVE_SPARSE:  # pragma: no cover - scipy is a declared dependency
-        raise RuntimeError(
-            "linalg='sparse' requires scipy.sparse; install scipy or use "
-            "linalg='dense'"
-        )
 
 
 def sparse_stationary(matrix: np.ndarray) -> np.ndarray:
@@ -90,7 +75,8 @@ def sparse_stationary(matrix: np.ndarray) -> np.ndarray:
     ``sum(pi) = 1`` — factored sparsely, and sanitized identically
     (clip tiny negative round-off, renormalize).
     """
-    _require_scipy()
+    from scipy import sparse
+
     from repro.markov.stationary import _sanitize
 
     matrix = check_square("matrix", matrix)
@@ -111,7 +97,7 @@ def sparse_stationary(matrix: np.ndarray) -> np.ndarray:
     data = np.concatenate(
         [-matrix[j, k], np.ones(count - 1), np.ones(count)]
     )
-    system = _sp.coo_matrix(
+    system = sparse.coo_matrix(
         (data, (rows, cols)), shape=(count, count)
     ).tocsc()
     rhs = np.zeros(count)
@@ -144,7 +130,8 @@ class SparseStationaryTemplate:
     """
 
     def __init__(self, support: np.ndarray) -> None:
-        _require_scipy()
+        from scipy import sparse
+
         support = np.asarray(support, dtype=bool)
         if support.ndim != 2 or support.shape[0] != support.shape[1]:
             raise ValueError(
@@ -160,7 +147,7 @@ class SparseStationaryTemplate:
         # Recover the COO -> sorted-CSC data permutation by pushing the
         # entry ranks through the conversion (no duplicate coordinates
         # by construction, so nothing is summed).
-        coo = _sp.coo_matrix(
+        coo = sparse.coo_matrix(
             (np.arange(1.0, nnz + 1.0), (rows, cols)),
             shape=(count, count),
         )
@@ -200,6 +187,8 @@ class SparseStationaryTemplate:
         Nothing is written to the template, so threads sharing it (a
         cost shared by a thread-backend multi-start) never race.
         """
+        from scipy import sparse
+
         count = self.size
         offdiag = self._off_slots.size
         data = np.empty(self._order.size)
@@ -208,7 +197,7 @@ class SparseStationaryTemplate:
             1.0 - self.diagonals(values)[:-1]
         )
         data[offdiag + count - 1:] = 1.0
-        return _sp.csc_matrix(
+        return sparse.csc_matrix(
             (data[self._order], self._indices, self._indptr),
             shape=(count, count),
         )
@@ -283,8 +272,9 @@ class SparseCoreSolver:
     """Sparse factorization of ``(I - P + W)`` for an ergodic chain.
 
     Presents the dense :class:`~repro.markov.fundamental.
-    CoreFactorization` contract — :meth:`solve`, :meth:`solve_transpose`,
-    :meth:`full_inverse` — backed by one ``splu`` of the sparse bordered
+    CoreFactorization` contract (:meth:`solve`, :meth:`solve_transpose`)
+    and :meth:`full_inverse` for sparse states' :meth:`~repro.core.state.
+    ChainState.dense_z`, backed by one ``splu`` of the sparse bordered
     matrix ``B = I - P + 1 e_n^T`` plus the Sherman-Morrison correction
     described in the module docstring.  ``pi`` is trusted as-is (callers
     own its accuracy), mirroring :func:`~repro.markov.fundamental.
@@ -292,7 +282,8 @@ class SparseCoreSolver:
     """
 
     def __init__(self, matrix: np.ndarray, pi: np.ndarray) -> None:
-        _require_scipy()
+        from scipy import sparse
+
         matrix = check_square("matrix", matrix)
         pi = np.asarray(pi, dtype=float)
         count = matrix.shape[0]
@@ -311,7 +302,7 @@ class SparseCoreSolver:
         data = np.concatenate(
             [-matrix[j, k], np.ones(count), np.ones(count)]
         )
-        bordered = _sp.coo_matrix(
+        bordered = sparse.coo_matrix(
             (data, (rows, cols)), shape=(count, count)
         ).tocsc()
         self.size = count

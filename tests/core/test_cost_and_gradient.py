@@ -21,7 +21,6 @@ from repro.core.gradient import (
 )
 from repro.core.initializers import paper_random_matrix
 from repro.core.state import ChainState
-from repro.markov.sparse import HAVE_SPARSE
 from tests.conftest import random_zero_rowsum_direction
 
 
@@ -54,8 +53,6 @@ BATCH_SETUPS = {
 @functools.lru_cache(maxsize=None)
 def batch_setup(name):
     """``(cost, interior)`` for a :data:`BATCH_SETUPS` entry."""
-    if BATCH_SETUPS[name][1] == "sparse" and not HAVE_SPARSE:
-        pytest.skip("scipy.sparse unavailable")
     make_topology, linalg = BATCH_SETUPS[name]
     topology = make_topology()
     cost = CoverageCost(topology, CostWeights(beta=1e-3), linalg=linalg)

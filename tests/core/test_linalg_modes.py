@@ -28,11 +28,6 @@ from repro.core.cost import (
     resolve_linalg,
 )
 from repro.core.initializers import paper_random_matrix
-from repro.markov.sparse import HAVE_SPARSE
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SPARSE, reason="scipy.sparse unavailable"
-)
 
 WEIGHTS = CostWeights(alpha=1.0, beta=1e-3)
 

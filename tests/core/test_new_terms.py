@@ -24,7 +24,6 @@ from repro import (
 )
 from repro.core.cost import MultiRayBatch, RayBatch
 from repro.core.initializers import paper_random_matrix
-from repro.markov.sparse import HAVE_SPARSE
 from tests.conftest import random_zero_rowsum_direction
 
 #: (name, weight, params) triples chosen so every hinge is active on a
@@ -99,8 +98,6 @@ class TestGradientFiniteDifference:
             without.gradient(interior_matrix),
         )
 
-    @pytest.mark.skipif(not HAVE_SPARSE,
-                        reason="scipy.sparse unavailable")
     @pytest.mark.parametrize("case", TERM_CASES,
                              ids=[c[0] for c in TERM_CASES])
     def test_sparse_projected_derivative(self, rng, case):
@@ -180,8 +177,6 @@ class TestBatchedPaths:
             single = RayBatch(cost, interior_matrix, direction)(steps)
             np.testing.assert_array_equal(values, single)
 
-    @pytest.mark.skipif(not HAVE_SPARSE,
-                        reason="scipy.sparse unavailable")
     @pytest.mark.parametrize("case", BATCH_CASES,
                              ids=[c[0] for c in BATCH_CASES])
     def test_sparse_agrees_with_dense(self, case):

@@ -34,12 +34,9 @@ from repro.core.initializers import paper_random_matrix
 from repro.core.linesearch import feasible_step_bound, trisection_search
 from repro.core.perturbed import optimize_perturbed
 from repro.core.terms import TermBatch
-from repro.markov.sparse import HAVE_SPARSE
 from repro.topology.library import scalable_topology
 from repro.topology.model import Topology
 from repro.topology.random_gen import random_topology
-
-pytestmark = pytest.mark.skipif(not HAVE_SPARSE, reason="needs scipy")
 
 FAMILIES = ["city-grid", "ring-of-grids"]
 

@@ -17,10 +17,11 @@ from repro.core.terms import (
     ExposureTerm,
     broadcast_weights,
 )
-from repro.markov.fundamental import fundamental_matrix
+from repro.markov.fundamental import factor_core, fundamental_matrix
 from repro.markov.passage import first_passage_times
 from repro.markov.stationary import stationary_via_linear_solve
 from repro import paper_topology
+from repro.utils.perf import perf_scope
 
 
 @pytest.fixture
@@ -79,8 +80,25 @@ class TestChainState:
         np.testing.assert_allclose(
             state.pi, stationary_via_linear_solve(state.p), atol=1e-12
         )
-        np.testing.assert_allclose(
-            state.z, fundamental_matrix(state.p, state.pi), atol=1e-12
+        assert state.z.tobytes() == (
+            fundamental_matrix(state.p, state.pi).tobytes()
+        )
+
+    def test_first_core_solve_factors_once(self, state, rng):
+        with perf_scope() as counters:
+            fresh = ChainState.from_matrix(state.p)
+        assert counters.factorizations == 2
+        rhs = rng.normal(size=(4, 3))
+        with perf_scope() as counters:
+            solved = fresh.solve_core(rhs)
+            transposed = fresh.solve_core_transpose(rhs)
+            again = fresh.solve_core(rhs)
+        assert counters.factorizations == 1
+        reference = factor_core(fresh.p, fresh.pi)
+        assert solved.tobytes() == reference.solve(rhs).tobytes()
+        assert again.tobytes() == solved.tobytes()
+        assert transposed.tobytes() == (
+            reference.solve_transpose(rhs).tobytes()
         )
 
     def test_r_lazily_computed(self, state):

@@ -29,7 +29,6 @@ from repro.markov.incremental import (
 )
 from repro.markov.passage import first_passage_times
 from repro.markov.sparse import (
-    HAVE_SPARSE,
     SparseCoreSolver,
     SparseStationaryTemplate,
     changed_rows,
@@ -37,10 +36,6 @@ from repro.markov.sparse import (
     sparse_stationary,
 )
 from repro.markov.stationary import stationary_via_linear_solve
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SPARSE, reason="scipy.sparse unavailable"
-)
 
 
 def support_matrix(size=36, seed=11):
