@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.state import ChainState
-from repro.core.terms import ObjectiveTerm, TermBatch
+from repro.core.terms import ObjectiveTerm, SupportPartials, TermBatch
+from repro.utils.linalg import scatter_flat
 from repro.utils.validation import check_positive
 
 
@@ -41,6 +42,11 @@ class BarrierPenalty(ObjectiveTerm):
             )
         self.support = None if support is None else np.asarray(
             support, dtype=bool
+        )
+        # The support's flat positions: gathering them reads the
+        # entries ``p[support]`` reads, in the same order.
+        self._flat = None if support is None else np.flatnonzero(
+            self.support
         )
 
     # ------------------------------------------------------------------ #
@@ -92,21 +98,27 @@ class BarrierPenalty(ObjectiveTerm):
     # ObjectiveTerm interface
     # ------------------------------------------------------------------ #
 
+    def _entries(self, p: np.ndarray) -> np.ndarray:
+        """The entries the barrier covers: all, or the supported ones."""
+        if self._flat is None:
+            return p
+        return p.reshape(-1)[self._flat]
+
     def value(self, state: ChainState) -> float:
-        if self.support is not None:
-            return float(
-                self.elementwise_value(state.p[self.support]).sum()
-            )
-        return float(self.elementwise_value(state.p).sum())
+        return float(self.elementwise_value(self._entries(state.p)).sum())
 
     def grad_p(self, state: ChainState) -> np.ndarray:
-        if self.support is not None:
-            grad = np.zeros_like(state.p)
-            grad[self.support] = self.elementwise_grad(
-                state.p[self.support]
-            )
+        grad = self.elementwise_grad(self._entries(state.p))
+        if self._flat is None:
             return grad
-        return self.elementwise_grad(state.p)
+        return scatter_flat(self._flat, grad, state.size)
+
+    def support_partials(self, state: ChainState, layout) -> SupportPartials:
+        if self._flat is None:
+            return super().support_partials(state, layout)
+        return SupportPartials(
+            None, None, self.elementwise_grad(self._entries(state.p)), None
+        )
 
     def batch_value(self, batch: TermBatch) -> np.ndarray:
         """Per-probe barrier values, restricted to supported entries.

@@ -55,12 +55,21 @@ class ChainState:
         states (use :meth:`dense_z` if the full matrix is truly needed).
     linalg:
         ``"dense"`` (reference path) or ``"sparse"`` (large-``M`` path).
+    template:
+        The support layout of a sparse state whose matrix vanishes off
+        an adjacency support (a
+        :class:`~repro.markov.sparse.SparseStationaryTemplate`), else
+        ``None``.  Its core factorization then reads ``P`` at the
+        support instead of scanning every entry.
     """
 
     p: np.ndarray
     pi: np.ndarray
     z: Optional[np.ndarray] = None
     linalg: str = "dense"
+    template: Optional[object] = field(
+        default=None, repr=False, compare=False
+    )
     _r_cache: list = field(default_factory=list, repr=False, compare=False)
     _z2_cache: list = field(default_factory=list, repr=False, compare=False)
     _lu_cache: list = field(default_factory=list, repr=False, compare=False)
@@ -79,7 +88,7 @@ class ChainState:
         matrix: np.ndarray,
         check: bool = True,
         linalg: str = "dense",
-        stationary=None,
+        template=None,
     ):
         """Build the state for ``matrix``.
 
@@ -89,7 +98,7 @@ class ChainState:
         formulas divide by ``pi``.
 
         ``linalg="sparse"`` leaves ``z`` unmaterialized: ``pi`` comes
-        from ``stationary`` (a ``matrix -> pi`` solver, by default
+        from ``template``'s stationary solve (by default
         :func:`~repro.markov.sparse.sparse_stationary`), and the state's
         own sparse core factorization is built on its first core solve.
         """
@@ -100,18 +109,21 @@ class ChainState:
                 f"{np.asarray(matrix).sum(axis=1)}"
             )
         if linalg == "sparse":
-            if stationary is None:
+            if template is None:
                 from repro.markov.sparse import sparse_stationary
 
-                stationary = sparse_stationary
-            pi = stationary(matrix)
+                pi = sparse_stationary(matrix)
+            else:
+                pi = template.solve(matrix)
             if np.any(pi <= 0):
                 raise ValueError(
                     "stationary distribution has non-positive entries "
                     f"(min {pi.min():.3g}); the chain is not ergodic"
                 )
             perf.count("state_builds")
-            return cls(p=matrix, pi=pi, z=None, linalg="sparse")
+            return cls(
+                p=matrix, pi=pi, z=None, linalg="sparse", template=template
+            )
         pi = stationary_via_linear_solve(matrix)
         if np.any(pi <= 0):
             raise ValueError(
@@ -132,6 +144,7 @@ class ChainState:
         pi: np.ndarray,
         z: Optional[np.ndarray] = None,
         linalg: str = "dense",
+        template=None,
     ):
         """Assemble a state from already-computed ``(pi, Z)``.
 
@@ -175,6 +188,7 @@ class ChainState:
             pi=np.array(pi, dtype=float),
             z=None if z is None else np.array(z, dtype=float),
             linalg=linalg,
+            template=template,
         )
 
     @property
@@ -218,7 +232,9 @@ class ChainState:
             if self.linalg == "sparse":
                 from repro.markov.sparse import SparseCoreSolver
 
-                self._lu_cache.append(SparseCoreSolver(self.p, self.pi))
+                self._lu_cache.append(
+                    SparseCoreSolver(self.p, self.pi, self.template)
+                )
             else:
                 perf.count("factorizations")
                 self._lu_cache.append(factor_core(self.p, self.pi))

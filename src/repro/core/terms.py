@@ -42,6 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from repro.core.state import ChainState
+from repro.utils.linalg import scatter_flat
 from repro.utils.validation import check_square
 
 
@@ -94,6 +95,22 @@ class TermBatch(NamedTuple):
     entries: Optional[np.ndarray] = None  # (k, nnz) support values
 
 
+class SupportPartials(NamedTuple):
+    """A term's partials at a sparse state, ``dU/dP`` split at the support.
+
+    ``values`` holds ``dU/dP`` on the support, in the layout's
+    ``np.nonzero(support)`` order.  ``remainder`` is a dense ``(M, M)``
+    ``dU/dP`` whose off-support entries still count (``None`` when the
+    term has no mass off the support); only its off-support entries are
+    read, since ``values`` already carries the supported ones.
+    """
+
+    grad_pi: Optional[np.ndarray]
+    grad_z: Optional[np.ndarray]
+    values: Optional[np.ndarray]
+    remainder: Optional[np.ndarray]
+
+
 class CostTerm(abc.ABC):
     """A differentiable summand of the cost function.
 
@@ -122,6 +139,23 @@ class CostTerm(abc.ABC):
     def grad_p(self, state: ChainState) -> Optional[np.ndarray]:
         """Direct partial w.r.t. ``P`` (holding ``pi``, ``Z`` fixed)."""
         return None
+
+    def support_partials(self, state: ChainState, layout) -> SupportPartials:
+        """All three partials for the sparse descent's support assembly.
+
+        ``layout`` is the cost's
+        :class:`~repro.markov.sparse.SparseStationaryTemplate`.  The
+        base implementation gathers :meth:`grad_p` at the support and
+        keeps the dense array as the remainder; terms whose ``dU/dP``
+        lives on the support override it to skip the dense array.
+        """
+        grad_p = self.grad_p(state)
+        return SupportPartials(
+            self.grad_pi(state),
+            self.grad_z(state),
+            None if grad_p is None else layout.values(grad_p),
+            grad_p,
+        )
 
     def batch_value(self, batch: TermBatch) -> np.ndarray:
         """Per-probe term values for a stacked evaluation, shape ``(k,)``.
@@ -227,13 +261,19 @@ class SupportCoverageTerm(ObjectiveTerm):
         ``c_i = sum_entries pi_j p_jk T_{jk,i} - Phi_i sum_jk pi_j p_jk
         T_jk``
 
-    is two weighted bincounts plus one dense ``O(M^2)`` contraction.
+    is two weighted bincounts plus one row reduction over the support.
     Gradients reuse the same entry list: with
     ``a_jk = sum_i alpha_i c_i T_{jk,i}`` (a bincount over legs) and
     ``q = sum_i alpha_i c_i Phi_i``,
 
         ``dU/dpi_j = sum_k p_jk (a_jk - q T_jk)``,
         ``dU/dp_jk = pi_j (a_jk - q T_jk)``  (supported legs only).
+
+    Every sum over legs runs on support values (``np.nonzero(support)``
+    order); row sums and totals that feed a trajectory reduce a
+    zero-padded ``(M, M)`` matrix
+    (:func:`~repro.utils.linalg.scatter_flat`), so they equal the dense
+    matrix's sums bit for bit.
     """
 
     def __init__(
@@ -273,41 +313,49 @@ class SupportCoverageTerm(ObjectiveTerm):
         self._k = k_idx
         self._i = i_idx
         self._t_val = t_val
-        self._flat_leg = j_idx * size + k_idx
         self._size = size
-        # Gathered support legs for the batched total-travel contraction
-        # (entries off the support contribute nothing).
+        # Gathered support legs (entries off the support contribute
+        # nothing): the support-value layout of TermBatch.entries.
         self._sup_j, self._sup_k = np.nonzero(support)
         self._sup_t = travel_times[self._sup_j, self._sup_k]
-        # Entry -> position of its leg among the support values (the
-        # order of TermBatch.entries); every entry must sit on the
-        # support.
-        support_flat = self._sup_j * size + self._sup_k
-        self._entry_pos = np.searchsorted(support_flat, self._flat_leg)
+        self._sup_flat = self._sup_j * size + self._sup_k
+        # Entry -> position of its leg among the support values; every
+        # entry must sit on the support.
+        flat_leg = j_idx * size + k_idx
+        self._entry_pos = np.searchsorted(self._sup_flat, flat_leg)
         if not np.array_equal(
-            support_flat.take(self._entry_pos, mode="clip"), self._flat_leg
+            self._sup_flat.take(self._entry_pos, mode="clip"), flat_leg
         ):
             raise ValueError("pass-by entries must lie on the support")
 
-    def _deviations(self, pi: np.ndarray, p: np.ndarray) -> np.ndarray:
-        weights = pi[self._j] * p[self._j, self._k] * self._t_val
+    def _values(self, p: np.ndarray) -> np.ndarray:
+        """``p``'s support values."""
+        return p.reshape(-1)[self._sup_flat]
+
+    def _padded(self, values: np.ndarray) -> np.ndarray:
+        """The zero-padded ``(M, M)`` matrix of support ``values``."""
+        return scatter_flat(self._sup_flat, values, self._size)
+
+    def _deviations(self, pi: np.ndarray, p_s: np.ndarray) -> np.ndarray:
+        """``c_i`` from ``pi`` and the support values ``p_s``."""
+        weights = pi[self._j] * p_s[self._entry_pos] * self._t_val
         covered = np.bincount(
             self._i, weights=weights, minlength=self._size
         )
-        total = float(pi @ (p * self._t).sum(axis=1))
+        total = float(pi @ self._padded(p_s * self._sup_t).sum(axis=1))
         return covered - self._phi * total
 
     def deviations(self, state: ChainState) -> np.ndarray:
         """The per-PoI deviations ``c_i`` (same contract as the dense term)."""
-        return self._deviations(state.pi, state.p)
+        return self._deviations(state.pi, self._values(state.p))
 
     def shares(self, state: ChainState) -> np.ndarray:
         """Long-run coverage shares ``C-bar_i`` (Eq. 2), one bincount."""
-        weighted = state.pi[:, None] * state.p
-        total = float(np.sum(weighted * self._t))
+        weighted = state.pi[self._sup_j] * self._values(state.p)
+        total = float(np.sum(self._padded(weighted * self._sup_t)))
         covered = np.bincount(
             self._i,
-            weights=weighted[self._j, self._k] * self._t_val,
+            weights=weighted[self._entry_pos] * self._t_val,
             minlength=self._size,
         )
         return covered / total
@@ -336,24 +384,29 @@ class SupportCoverageTerm(ObjectiveTerm):
             values[n] = 0.5 * np.sum(self.alpha * c * c)
         return values
 
-    def _leg_inner(self, c: np.ndarray) -> np.ndarray:
-        """``a_jk - q T_jk`` as a dense ``(j, k)`` matrix."""
-        weighted = self.alpha * c
-        a_flat = np.bincount(
-            self._flat_leg,
+    def _partials(self, state: ChainState):
+        """``(dU/dpi, dU/dP values)``: the leg inner ``a_jk - q T_jk``
+        on the support, one ``a`` bin per supported leg."""
+        p_s = self._values(state.p)
+        weighted = self.alpha * self._deviations(state.pi, p_s)
+        a = np.bincount(
+            self._entry_pos,
             weights=weighted[self._i] * self._t_val,
-            minlength=self._size * self._size,
+            minlength=self._sup_flat.size,
         )
-        q = float(weighted @ self._phi)
-        return a_flat.reshape(self._size, self._size) - q * self._t
+        inner = a - float(weighted @ self._phi) * self._sup_t
+        grad_pi = self._padded(p_s * inner).sum(axis=1)
+        return grad_pi, state.pi[self._sup_j] * inner
 
     def grad_pi(self, state: ChainState) -> np.ndarray:
-        inner = self._leg_inner(self.deviations(state))
-        return (state.p * inner).sum(axis=1)
+        return self._partials(state)[0]
 
     def grad_p(self, state: ChainState) -> np.ndarray:
-        inner = self._leg_inner(self.deviations(state))
-        return np.where(self._support, state.pi[:, None] * inner, 0.0)
+        return self._padded(self._partials(state)[1])
+
+    def support_partials(self, state: ChainState, layout) -> SupportPartials:
+        grad_pi, values = self._partials(state)
+        return SupportPartials(grad_pi, None, values, None)
 
 
 class ExposureTerm(ObjectiveTerm):
@@ -404,15 +457,29 @@ class ExposureTerm(ObjectiveTerm):
         e = batch.exposures
         return 0.5 * np.einsum("i,ki,ki->k", self.beta, e, e)
 
+    def _sparse_partials(self, state: ChainState):
+        """``(dU/dpi, diagonal of dU/dP)`` of the sparse split.
+
+        Closed form: the whole pi-dependence of E-bar_i is explicit,
+        dE_i/dpi_i = -1 / (pi_i^2 (1 - p_ii)); the Z-chain that the
+        dense split routes through grad_z is already absorbed here, so
+        grad_z is identically zero.  The two splits give the same
+        *projected* total derivative.  dE_i/dp_ii = E_i / (1 - p_ii);
+        all other entries of P reach E-bar only through pi, which the
+        adjoint handles.
+        """
+        e, _, staying = self._pieces(state)
+        return (
+            -self.beta * e / (state.pi**2 * (1.0 - staying)),
+            self.beta * e * e / (1.0 - staying),
+        )
+
+    def support_partials(self, state: ChainState, layout) -> SupportPartials:
+        return _exposure_support_partials(self, state, layout)
+
     def grad_pi(self, state: ChainState) -> np.ndarray:
         if state.linalg == "sparse":
-            # Closed form: the whole pi-dependence of E-bar_i is explicit,
-            # dE_i/dpi_i = -1 / (pi_i^2 (1 - p_ii)); the Z-chain that the
-            # dense split routes through grad_z is already absorbed here,
-            # so grad_z below is identically zero.  The two splits give
-            # the same *projected* total derivative.
-            e, _, staying = self._pieces(state)
-            return -self.beta * e / (state.pi**2 * (1.0 - staying))
+            return self._sparse_partials(state)[0]
         e, _, _ = self._pieces(state)
         # de_i/dpi_i = -e_i / pi_i  (pi enters only through the denominator).
         return -self.beta * e * e / state.pi
@@ -433,14 +500,7 @@ class ExposureTerm(ObjectiveTerm):
 
     def grad_p(self, state: ChainState) -> np.ndarray:
         if state.linalg == "sparse":
-            # dE_i/dp_ii = E_i / (1 - p_ii); all other entries of P reach
-            # E-bar only through pi, which the adjoint handles.
-            e, _, staying = self._pieces(state)
-            grad = np.zeros_like(state.p)
-            grad[np.diag_indices_from(grad)] = (
-                self.beta * e * e / (1.0 - staying)
-            )
-            return grad
+            return np.diag(self._sparse_partials(state)[1])
         e, _, staying = self._pieces(state)
         denom = state.pi * (1.0 - staying)
         scale = self.beta * e
@@ -450,6 +510,21 @@ class ExposureTerm(ObjectiveTerm):
         # de_i/dp_ii = e_i / (1 - p_ii).
         grad[np.diag_indices_from(grad)] = scale * e / (1.0 - staying)
         return grad
+
+
+def _exposure_support_partials(term, state: ChainState, layout):
+    """Support partials of an exposure term's sparse split, whose
+    ``dU/dP`` lives on the diagonal (a remainder off a support without
+    every self-loop)."""
+    if state.linalg != "sparse":
+        return CostTerm.support_partials(term, state, layout)
+    grad_pi, diagonal = term._sparse_partials(state)
+    values = np.zeros(layout.nnz)
+    values[layout.diag_slots] = diagonal[layout.diag_rows]
+    remainder = None
+    if layout.diag_rows.size < layout.size:
+        remainder = np.diag(diagonal)
+    return SupportPartials(grad_pi, None, values, remainder)
 
 
 class EnergyTerm(ObjectiveTerm):
@@ -602,16 +677,30 @@ class WorstExposureTerm(CostTerm):
     def batch_value(self, batch: TermBatch) -> np.ndarray:
         return self.weight * self._smooth_max(batch.exposures, self.tau)
 
-    def grad_pi(self, state: ChainState) -> np.ndarray:
+    def _sparse_partials(self, state: ChainState):
+        """``(dU/dpi, diagonal of dU/dP)`` of the sparse split.
+
+        Closed form E_i = (1 - pi_i) / (pi_i (1 - p_ii)):
+        dE_i/dpi_i = -1 / (pi_i^2 (1 - p_ii)) and
+        dE_i/dp_ii = E_i / (1 - p_ii); the Z-chain is absorbed exactly
+        as in ExposureTerm's sparse split.
+        """
         e, _, staying = ExposureTerm._pieces(state)
         scale = self._scale(e)
+        return (
+            -scale / (state.pi**2 * (1.0 - staying)),
+            scale * e / (1.0 - staying),
+        )
+
+    def support_partials(self, state: ChainState, layout) -> SupportPartials:
+        return _exposure_support_partials(self, state, layout)
+
+    def grad_pi(self, state: ChainState) -> np.ndarray:
         if state.linalg == "sparse":
-            # Closed form E_i = (1 - pi_i) / (pi_i (1 - p_ii)):
-            # dE_i/dpi_i = -1 / (pi_i^2 (1 - p_ii)); the Z-chain is
-            # absorbed here exactly as in ExposureTerm's sparse split.
-            return -scale / (state.pi**2 * (1.0 - staying))
+            return self._sparse_partials(state)[0]
+        e, _, _ = ExposureTerm._pieces(state)
         # Dense split: dE_i/dpi_i = -E_i / pi_i.
-        return -scale * e / state.pi
+        return -self._scale(e) * e / state.pi
 
     def grad_z(self, state: ChainState) -> Optional[np.ndarray]:
         if state.linalg == "sparse":
@@ -627,14 +716,10 @@ class WorstExposureTerm(CostTerm):
         return grad
 
     def grad_p(self, state: ChainState) -> np.ndarray:
+        if state.linalg == "sparse":
+            return np.diag(self._sparse_partials(state)[1])
         e, _, staying = ExposureTerm._pieces(state)
         scale = self._scale(e)
-        if state.linalg == "sparse":
-            grad = np.zeros_like(state.p)
-            grad[np.diag_indices_from(grad)] = (
-                scale * e / (1.0 - staying)
-            )
-            return grad
         denom = state.pi * (1.0 - staying)
         z_diag = np.diag(state.z)
         diffs = (z_diag[None, :] - state.z).T  # (i, j): z_ii - z_ji

@@ -49,6 +49,7 @@ read-only tensors cross the process boundary exactly once:
 from __future__ import annotations
 
 import atexit
+import functools
 import io
 import os
 import pickle
@@ -87,10 +88,12 @@ AUTO_TRANSPORT_THRESHOLD = 1 << 20
 SEGMENT_PREFIX = "reproshm"
 
 
+@functools.lru_cache(maxsize=None)
 def _broadcast_types() -> tuple:
     """The classes shipped broadcast-once (imported lazily: the cost
     and topology modules must not be import-time dependencies of the
-    executor layer)."""
+    executor layer).  Resolved once per process: the pickler asks for
+    every object it packs."""
     from repro.core.cost import CoverageCost
     from repro.topology.model import LegCoverageTable, Topology
 

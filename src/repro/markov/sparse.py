@@ -42,6 +42,7 @@ from typing import Optional
 import numpy as np
 
 from repro.utils import perf
+from repro.utils.linalg import scatter_flat
 from repro.utils.validation import check_square
 
 #: Column ordering for every ``splu`` in this module.  The feasible
@@ -127,6 +128,9 @@ class SparseStationaryTemplate:
     them from a dense matrix).  ``solve(matrix)`` returns the sanitized
     stationary distribution, identical to :func:`sparse_stationary` up
     to floating-point assembly order.
+
+    It is also the sparse descent's layout: ``rows``/``cols``/``flat``
+    locate each value, and :meth:`project` is Eq. 11 on values.
     """
 
     def __init__(self, support: np.ndarray) -> None:
@@ -154,10 +158,12 @@ class SparseStationaryTemplate:
         csc = coo.tocsc()
         self.size = count
         self.nnz = j.size
-        self._flat = j * count + k
+        self.rows, self.cols = j, k
+        self.flat = j * count + k
+        self.row_counts = np.bincount(j, minlength=count)
         self._off_slots = np.flatnonzero(off)
-        self._diag_slots = np.flatnonzero(j == k)
-        self._diag_rows = j[self._diag_slots]
+        self.diag_slots = np.flatnonzero(j == k)
+        self.diag_rows = j[self.diag_slots]
         self._order = np.asarray(csc.data, dtype=np.int64) - 1
         self._indices = csc.indices
         self._indptr = csc.indptr
@@ -167,19 +173,29 @@ class SparseStationaryTemplate:
     def values(self, matrices: np.ndarray) -> np.ndarray:
         """Support values of a ``(M, M)`` matrix or ``(k, M, M)`` stack."""
         matrices = np.asarray(matrices, dtype=float)
-        return matrices.reshape(*matrices.shape[:-2], -1)[..., self._flat]
+        return matrices.reshape(*matrices.shape[:-2], -1)[..., self.flat]
 
     def dense(self, values: np.ndarray) -> np.ndarray:
         """The ``(M, M)`` matrix of ``(nnz,)`` values, zero off support."""
-        matrix = np.zeros(self.size * self.size)
-        matrix[self._flat] = values
-        return matrix.reshape(self.size, self.size)
+        return scatter_flat(self.flat, values, self.size)
 
     def diagonals(self, values: np.ndarray) -> np.ndarray:
         """``p_ii`` of ``(..., nnz)`` values; 0 where unsupported."""
         out = np.zeros(values.shape[:-1] + (self.size,))
-        out[..., self._diag_rows] = values[..., self._diag_slots]
+        out[..., self.diag_rows] = values[..., self.diag_slots]
         return out
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Eq. 11 on ``(nnz,)`` values: subtract each row's support mean.
+
+        The values of
+        :func:`~repro.utils.linalg.project_row_sum_zero` ``(P, support)``
+        bit for bit: the row sums run over the zero-padded matrix.
+        """
+        if not self.row_counts.all():
+            raise ValueError("support has an all-empty row")
+        means = self.dense(values).sum(axis=1) / self.row_counts
+        return values - means[self.rows]
 
     def _fill(self, values: np.ndarray):
         """A fresh CSC system for ``values`` on the fixed pattern.
@@ -279,9 +295,19 @@ class SparseCoreSolver:
     described in the module docstring.  ``pi`` is trusted as-is (callers
     own its accuracy), mirroring :func:`~repro.markov.fundamental.
     factor_core`.
+
+    With a :class:`SparseStationaryTemplate` whose support holds all of
+    ``matrix``'s mass, ``P`` is read at the support pattern (its nonzero
+    values, in ``np.nonzero`` order) instead of scanning all ``M^2``
+    entries: the same COO input, hence the same factorization.
     """
 
-    def __init__(self, matrix: np.ndarray, pi: np.ndarray) -> None:
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        pi: np.ndarray,
+        template: Optional[SparseStationaryTemplate] = None,
+    ) -> None:
         from scipy import sparse
 
         matrix = check_square("matrix", matrix)
@@ -294,13 +320,20 @@ class SparseCoreSolver:
         # B = I - P + 1 e_n^T assembled directly in COO form (duplicate
         # coordinates sum: -P entries, the identity diagonal, and the
         # all-ones last column merge where they overlap).
-        j, k = np.nonzero(matrix)
+        if template is None:
+            j, k = np.nonzero(matrix)
+            values = matrix[j, k]
+        else:
+            values = template.values(matrix)
+            keep = np.flatnonzero(values)
+            j, k = template.rows[keep], template.cols[keep]
+            values = values[keep]
         rows = np.concatenate([j, np.arange(count), np.arange(count)])
         cols = np.concatenate(
             [k, np.arange(count), np.full(count, count - 1)]
         )
         data = np.concatenate(
-            [-matrix[j, k], np.ones(count), np.ones(count)]
+            [-values, np.ones(count), np.ones(count)]
         )
         bordered = sparse.coo_matrix(
             (data, (rows, cols)), shape=(count, count)

@@ -75,6 +75,22 @@ def project_row_sum_zero(
     return np.where(support, matrix - means, 0.0)
 
 
+def scatter_flat(
+    flat: np.ndarray, values: np.ndarray, size: int
+) -> np.ndarray:
+    """The ``(size, size)`` matrix holding ``values`` at ``flat``, else 0.
+
+    A reduction over it (row sums, a total) sees the same numbers in the
+    same places as a dense matrix that vanishes off ``flat``, so numpy
+    sums them in the same pairwise order and returns the dense result
+    bit for bit; a sum over the gathered ``values`` would associate them
+    differently.
+    """
+    out = np.zeros(size * size)
+    out[flat] = values
+    return out.reshape(size, size)
+
+
 def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
     """Return ``||actual - expected|| / max(1, ||expected||)`` (Frobenius)."""
     actual = np.asarray(actual, dtype=float)
