@@ -326,6 +326,16 @@ class CoverageCost:
             p, pi, linalg="sparse", template=self._get_stationary_template()
         )
 
+    def _probe_state(self, p: np.ndarray, pi: np.ndarray,
+                     z: Optional[np.ndarray]) -> ChainState:
+        """The state of a probe a ray hands back: :meth:`state_from_parts`,
+        minus the revalidation a sparse probe has already passed."""
+        if z is not None or self._support is None:
+            return self.state_from_parts(p, pi, z)
+        return ChainState._from_probe(
+            p, pi, self._get_stationary_template()
+        )
+
     def state(self, matrix: np.ndarray) -> ChainState:
         """Build the :class:`ChainState` for ``matrix``."""
         return self.build_state(matrix)
@@ -491,7 +501,7 @@ class CoverageCost:
         """
         return self.batch_evaluate(stack)[0]
 
-    def batch_evaluate(self, stack: np.ndarray):
+    def batch_evaluate(self, stack: np.ndarray, reference=None):
         """Batched evaluation that also returns the derived matrices.
 
         Returns ``(values, pis, zs, ok)``: the ``U_eps`` values of
@@ -514,6 +524,12 @@ class CoverageCost:
         values in ``np.nonzero(support)`` order (what :class:`RayBatch`
         probes are), and a dense ``(k, M, M)`` stack is gathered to
         those values, its off-support mass making a probe infeasible.
+
+        ``reference`` is a sparse :class:`ChainState` near the probes
+        (a ray's base state): each probe's ``pi`` is refined against
+        that state's core LU, so it depends only on the reference and
+        the probe.  Without one, a support-value stack refines against
+        its first probe's LU.  The dense path ignores it.
         """
         stack = np.asarray(stack, dtype=float)
         size = self.size
@@ -553,7 +569,8 @@ class CoverageCost:
             ok = self._batch_feasible(dense, entries, diag)
             if sparse:
                 pis, zs, exposures, solved = self._sparse_chain(
-                    dense if entries is None else entries, diag, ok
+                    dense if entries is None else entries, diag, ok,
+                    reference,
                 )
             else:
                 pis, zs, exposures, solved = self._dense_chain(dense, diag)
@@ -641,11 +658,12 @@ class CoverageCost:
         exposures = w.sum(axis=2) / (pis * (1.0 - diag))
         return pis, zs, exposures, solved
 
-    def _sparse_chain(self, probes, diag, ok):
+    def _sparse_chain(self, probes, diag, ok, reference):
         """Sparse stationary solves of the ``ok`` probes, no ``Z``.
 
         ``probes`` are support values with a support (the template's
-        input), else dense matrices.  Exposures use the closed form
+        input, refined against ``reference``'s core LU), else dense
+        matrices.  Exposures use the closed form
         ``E_i = (1-pi_i)/(pi_i(1-p_ii))``.  Same return contract as
         :meth:`_dense_chain` (``zs`` is ``None``); unsolved rows of
         ``pis`` are NaN.
@@ -662,7 +680,10 @@ class CoverageCost:
                 except (ValueError, RuntimeError):
                     continue  # singular / non-ergodic probe: stays +inf
         else:
-            found = template.solve_batch(probes, np.nonzero(ok)[0])
+            found = template.solve_batch(
+                probes, np.nonzero(ok)[0],
+                None if reference is None else reference.core_solver(),
+            )
         for index, pi in found.items():
             if np.all(np.isfinite(pi)) and pi.min() > 0.0:
                 pis[index] = pi
@@ -672,7 +693,9 @@ class CoverageCost:
     def ray_batch(self, matrix: np.ndarray, direction: np.ndarray):
         """Return the batched ray objective ``steps -> U_eps`` values.
 
-        The returned :class:`RayBatch` evaluates
+        ``matrix`` is the ray's base: a :class:`ChainState` (whose core
+        LU the sparse path refines probes against), a matrix, or
+        support values.  The returned :class:`RayBatch` evaluates
         ``U_eps(matrix + step * direction)`` for a whole array of steps at
         once via :meth:`batch_values` — the line search's fast path — and
         remembers the winning probe's ``(pi, Z)`` so the optimizer can
@@ -742,9 +765,17 @@ class RayBatch:
     ``(nnz,)`` row ``base + step * direction`` and a dense ``P`` is
     scattered only for a state handed back (the winner, a fallback
     probe).  Off-support zeros then hold for every probe by
-    construction.  The descent hands in ``(nnz,)`` support values
-    directly; dense ``(M, M)`` inputs are gathered, and the constructor
-    raises ``ValueError`` if they have mass off the support.
+    construction.  The descent hands in its current :class:`ChainState`,
+    whose ``P`` is gathered to support values; ``(nnz,)`` support values
+    are taken as they are; dense ``(M, M)`` inputs are gathered, and the
+    constructor raises ``ValueError`` if they have mass off the support.
+
+    The sparse ray holds its base state and evaluates every probe
+    against it: each probe's ``pi`` is refined against the base's core
+    LU (see :meth:`~repro.markov.sparse.SparseStationaryTemplate.
+    solve_batch`), so it depends only on the base and the step.  A ray
+    built from a bare matrix or values factors its base once, when it
+    is built.
     """
 
     def __init__(
@@ -754,35 +785,47 @@ class RayBatch:
         direction: np.ndarray,
     ) -> None:
         self._cost = cost
+        self._template = cost._probe_template()
+        self._state = None
+        if isinstance(matrix, ChainState):
+            self._state = matrix
+            matrix = matrix.p
         matrix = np.asarray(matrix, dtype=float)
         direction = np.asarray(direction, dtype=float)
-        self._template = cost._probe_template()
         if self._template is None:
             self._base, self._direction = matrix, direction
-        elif matrix.shape == direction.shape == (self._template.nnz,):
-            self._base, self._direction = matrix, direction
         else:
-            shape = (cost.size, cost.size)
-            if matrix.shape != shape or direction.shape != shape:
-                raise ValueError(
-                    f"ray base and direction must have shape {shape} "
-                    f"or ({self._template.nnz},), got {matrix.shape} "
-                    f"and {direction.shape}"
-                )
-            self._base = self._template.values(matrix)
-            self._direction = self._template.values(direction)
-            if (
-                np.count_nonzero(matrix) != np.count_nonzero(self._base)
-                or np.count_nonzero(direction)
-                != np.count_nonzero(self._direction)
-            ):
-                raise ValueError(
-                    "ray base or direction has mass on legs outside the "
-                    "topology's adjacency support"
-                )
+            # A state's P already holds no mass off the support.
+            self._base = self._support_values(
+                matrix, check=self._state is None
+            )
+            self._direction = self._support_values(direction)
+            if self._state is None:
+                self._state = self._base_state()
         self._best_step: Optional[float] = None
         self._best_value = np.inf
         self._best_parts = None
+
+    def _support_values(self, array: np.ndarray, check: bool = True):
+        """``array`` as ``(nnz,)`` support values: taken as they are, or
+        gathered from an ``(M, M)`` matrix with no mass off the
+        support."""
+        template = self._template
+        if array.shape == (template.nnz,):
+            return array
+        shape = (template.size, template.size)
+        if array.shape != shape:
+            raise ValueError(
+                f"ray base and direction must have shape {shape} or "
+                f"({template.nnz},), got {array.shape}"
+            )
+        values = template.values(array)
+        if check and np.count_nonzero(array) != np.count_nonzero(values):
+            raise ValueError(
+                "ray base or direction has mass on legs outside the "
+                "topology's adjacency support"
+            )
+        return values
 
     def step_bound(self) -> float:
         """The largest feasible step along the ray (shrunk by a hair).
@@ -805,10 +848,26 @@ class RayBatch:
             return probe
         return self._template.dense(probe)
 
+    def _base_state(self) -> Optional[ChainState]:
+        """The state of a sparse ray's bare base, its one factorization;
+        ``None`` for a base that is no ergodic chain, whose probes then
+        refine against the first one that factors."""
+        try:
+            return self._cost.build_state(
+                self._template.dense(self._base), check=False
+            )
+        except (ValueError, RuntimeError):
+            return None
+
+    def _evaluate(self, probes: np.ndarray):
+        """:meth:`CoverageCost.batch_evaluate` of this ray's probes,
+        refined against the base state on the sparse path."""
+        return self._cost.batch_evaluate(probes, reference=self._state)
+
     def __call__(self, steps: np.ndarray) -> np.ndarray:
         steps = np.asarray(steps, dtype=float)
         probes = self._probes(steps)
-        values, pis, zs, ok = self._cost.batch_evaluate(probes)
+        values, pis, zs, ok = self._evaluate(probes)
         return self._observe(steps, probes, values, pis, zs, ok)
 
     def _observe(self, steps, probes, values, pis, zs, ok) -> np.ndarray:
@@ -843,7 +902,7 @@ class RayBatch:
         if self._best_parts is None or self._best_step != float(step):
             return None
         probe, pi, z = self._best_parts
-        return self._cost.state_from_parts(self._matrix(probe), pi, z)
+        return self._cost._probe_state(self._matrix(probe), pi, z)
 
     def probe_state(self, step: float):
         """Evaluate one extra step; return ``(value, state_or_None)``.
@@ -854,10 +913,10 @@ class RayBatch:
         :meth:`state_at`.
         """
         probes = self._probes(np.asarray([float(step)]))
-        values, pis, zs, ok = self._cost.batch_evaluate(probes)
+        values, pis, zs, ok = self._evaluate(probes)
         if not ok[0] or not np.isfinite(values[0]):
             return float(values[0]), None
-        state = self._cost.state_from_parts(
+        state = self._cost._probe_state(
             self._matrix(probes[0]), pis[0], None if zs is None else zs[0]
         )
         return float(values[0]), state
@@ -876,9 +935,9 @@ class MultiRayBatch:
     stack member independently, the values (and therefore each ray's
     recorded winner) are bit-identical to evaluating the rays one at a
     time; only the Python-level and LAPACK dispatch overhead is
-    amortized across rays.  Support-value probes (the sparse path) are
-    not independent within a stack, so there each ray gets its own
-    call, which is exactly the single-ray evaluation.
+    amortized across rays.  Support-value probes (the sparse path)
+    refine against their own ray's base state, so there each ray gets
+    its own call, which is exactly the single-ray evaluation.
 
     Used by :mod:`repro.core.multistart` to fuse the line searches of
     all active multi-start trajectories at each descent iteration.
@@ -896,6 +955,12 @@ class MultiRayBatch:
     def __len__(self) -> int:
         return len(self.rays)
 
+    @property
+    def fused(self) -> bool:
+        """Whether a stage stacks every ray into one evaluation (dense
+        probes) rather than one call per ray (support values)."""
+        return self._cost._probe_template() is None
+
     def _evaluated(self, steps_per_ray):
         """Evaluate the participating rays' probes; per-ray results.
 
@@ -903,10 +968,8 @@ class MultiRayBatch:
         out this stage.  Returns ``(index, steps, probes, values, pis,
         zs, ok)`` per participating ray.  Dense probes go through one
         fused :meth:`CoverageCost.batch_evaluate`.  Support-value probes
-        are evaluated one ray per call: the stationary template's
-        iterative refinement carries its reference factorization from
-        probe to probe, so a fused stack would let one ray's probes
-        steer another's last bits.
+        are evaluated one ray per call, each against its ray's base
+        state (one reference per call).
         """
         parts = []
         for index, steps in enumerate(steps_per_ray):
@@ -916,9 +979,9 @@ class MultiRayBatch:
             parts.append((index, steps, self.rays[index]._probes(steps)))
         if not parts:
             return []
-        if self._cost._probe_template() is not None:
+        if not self.fused:
             return [
-                (index, steps, probes) + self._cost.batch_evaluate(probes)
+                (index, steps, probes) + self.rays[index]._evaluate(probes)
                 for index, steps, probes in parts
             ]
         fused = np.concatenate([probes for _, _, probes in parts], axis=0)
@@ -968,7 +1031,7 @@ class MultiRayBatch:
             if not ok[0] or not np.isfinite(values[0]):
                 out[index] = (float(values[0]), None)
             else:
-                state = self._cost.state_from_parts(
+                state = self._cost._probe_state(
                     self.rays[index]._matrix(probes[0]), pis[0],
                     None if zs is None else zs[0],
                 )

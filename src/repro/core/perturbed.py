@@ -270,9 +270,11 @@ class PerturbedWalk:
                     noise_scale = options.sigma * max(rms, 1e-300)
                 else:
                     noise_scale = options.sigma
-                noisy = noisy + layout.values(self.rng.normal(
-                    0.0, noise_scale, size=gradient.shape
-                ))
+                # ``normal(0, s)`` draws ``0 + s * z``: the same values
+                # and stream, scaled after the gather.
+                noisy = noisy + noise_scale * layout.values(
+                    self.rng.standard_normal(gradient.shape)
+                )
         self._direction = -layout.project(noisy)
         if options.PERTURBATION == "none":
             self._gradient_norm = float(
@@ -289,7 +291,7 @@ class PerturbedWalk:
             ray = None
             self._bound = feasible_step_bound(self._base, self._direction)
         else:
-            ray = self.cost.ray_batch(self._base, self._direction)
+            ray = self.cost.ray_batch(self.state, self._direction)
             self._bound = ray.step_bound()
         return SearchSpec(
             ray=ray, bound=self._bound, baseline=self.breakdown.u_eps

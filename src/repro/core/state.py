@@ -19,8 +19,11 @@ Large-``M`` states (``linalg="sparse"``) never materialize ``Z``: the
 ``z`` field stays ``None`` and every ``Z @ v`` / ``v^T Z`` product routes
 through targeted solves against a sparse factorization of the core
 (:mod:`repro.markov.sparse`).  Each sparse state owns that
-factorization, built lazily on its first core solve, so its values
-depend only on its matrix and its ``pi``.  Small-``M`` reference paths
+factorization, the LU of the bordered core ``B = I - P + 1 e_n^T``, so
+its values depend only on its matrix and its ``pi``: a state built from
+a matrix on a support factors ``B`` once and reads ``pi`` from the same
+LU; a state assembled from parts factors it lazily on its first core
+solve.  Small-``M`` reference paths
 that genuinely need the full matrix call :meth:`ChainState.dense_z`,
 which materializes and caches it on demand.
 """
@@ -97,10 +100,12 @@ class ChainState:
         which is verified unconditionally because the downstream exposure
         formulas divide by ``pi``.
 
-        ``linalg="sparse"`` leaves ``z`` unmaterialized: ``pi`` comes
-        from ``template``'s stationary solve (by default
-        :func:`~repro.markov.sparse.sparse_stationary`), and the state's
-        own sparse core factorization is built on its first core solve.
+        ``linalg="sparse"`` leaves ``z`` unmaterialized.  With a
+        ``template`` the state factors ``B = I - P + 1 e_n^T`` once and
+        reads ``pi = B^{-T} e_n`` from that LU, which its core solves
+        then reuse: one sparse factorization per state.  Without one,
+        ``pi`` comes from :func:`~repro.markov.sparse.sparse_stationary`
+        and the core is factored on the first core solve.
         """
         matrix = check_square("matrix", matrix)
         if check and not is_row_stochastic(matrix):
@@ -109,21 +114,28 @@ class ChainState:
                 f"{np.asarray(matrix).sum(axis=1)}"
             )
         if linalg == "sparse":
+            solver = None
             if template is None:
                 from repro.markov.sparse import sparse_stationary
 
                 pi = sparse_stationary(matrix)
             else:
-                pi = template.solve(matrix)
+                from repro.markov.sparse import SparseCoreSolver
+
+                solver = SparseCoreSolver(matrix, template=template)
+                pi = solver.pi
             if np.any(pi <= 0):
                 raise ValueError(
                     "stationary distribution has non-positive entries "
                     f"(min {pi.min():.3g}); the chain is not ergodic"
                 )
             perf.count("state_builds")
-            return cls(
+            state = cls(
                 p=matrix, pi=pi, z=None, linalg="sparse", template=template
             )
+            if solver is not None:
+                state._lu_cache.append(solver)
+            return state
         pi = stationary_via_linear_solve(matrix)
         if np.any(pi <= 0):
             raise ValueError(
@@ -191,6 +203,22 @@ class ChainState:
             template=template,
         )
 
+    @classmethod
+    def _from_probe(cls, p: np.ndarray, pi: np.ndarray, template):
+        """A sparse line-search probe's state, without revalidation.
+
+        The batched evaluator has already checked the probe's values
+        for feasibility and its ``pi`` for finite positive entries, and
+        ``p`` is a matrix freshly scattered from those values, so the
+        ``M^2`` finiteness scan and the copy of ``p`` that
+        :meth:`from_parts` makes are skipped.
+        """
+        perf.count("states_reused")
+        return cls(
+            p=p, pi=np.array(pi, dtype=float), z=None, linalg="sparse",
+            template=template,
+        )
+
     @property
     def size(self) -> int:
         """Number of states."""
@@ -206,7 +234,9 @@ class ChainState:
         :meth:`solve_core_transpose` instead.
         """
         if self.z is None:
-            object.__setattr__(self, "z", self._solver().full_inverse())
+            object.__setattr__(
+                self, "z", self.core_solver().full_inverse()
+            )
         return self.z
 
     @property
@@ -226,8 +256,12 @@ class ChainState:
             self._z2_cache.append(z @ z)
         return self._z2_cache[0]
 
-    def _solver(self):
-        """The state's core solver, factored lazily on first use."""
+    def core_solver(self):
+        """The state's core solver, factored lazily on first use.
+
+        A sparse state's solver owns the LU of ``B``; a line search
+        along a ray from this state refines its probes against it.
+        """
         if not self._lu_cache:
             if self.linalg == "sparse":
                 from repro.markov.sparse import SparseCoreSolver
@@ -243,15 +277,16 @@ class ChainState:
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(I - P + W) x = rhs`` reusing the state's factors.
 
-        No state is built with factors: the core is factored on the
-        first call (counted as one factorization, or one sparse
-        factorization) and the factors are reused after that.
+        The core is factored on the first call (counted as one
+        factorization, or one sparse factorization) and the factors are
+        reused after that; a sparse state built from a matrix on a
+        support already holds them from its stationary solve.
         """
-        return self._solver().solve(rhs)
+        return self.core_solver().solve(rhs)
 
     def solve_core_transpose(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(I - P + W)^T x = rhs`` reusing the state's factors."""
-        return self._solver().solve_transpose(rhs)
+        return self.core_solver().solve_transpose(rhs)
 
     def exposure_times(self) -> np.ndarray:
         """Per-PoI average exposure times ``E-bar_i`` (Eq. 3).

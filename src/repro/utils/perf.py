@@ -41,8 +41,11 @@ class PerfCounters:
     covering ``batch_matrices`` matrices in total (each batched matrix
     costs one stacked solve plus one stacked inversion, but never a
     per-matrix Python round trip).  The sparse path counts its own
-    work: ``sparse_factorizations`` (sparse core LU builds, one per
-    sparse chain state that solves against its core).
+    work: ``sparse_factorizations`` counts every sparse LU (each
+    ``splu`` call in :mod:`repro.markov.sparse`): one per sparse chain
+    state on a support, plus a line-search probe's own factorization
+    when refinement against its ray's base misses (and, on the
+    support-free sparse path, stationary and core LUs separately).
     ``incremental_updates`` and ``incremental_refactorizations`` count
     the low-rank updates and resets of
     :class:`~repro.markov.incremental.IncrementalCoreTracker`, which no
@@ -132,7 +135,8 @@ class OptimizerPerf:
     in ambient :func:`perf_scope` counters around a fan-out (and in the
     dispatch benchmark's output), not in the per-run perf attached to
     each result.  ``sparse_factorizations`` carries over from
-    :class:`PerfCounters` unchanged (zero on the dense path).
+    :class:`PerfCounters` unchanged: every sparse LU the run made,
+    line-search probes included (zero on the dense path).
     """
 
     factorizations: int = 0

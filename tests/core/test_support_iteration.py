@@ -17,7 +17,10 @@ begin_iteration`).  ``tests/oracles/gradient.py`` keeps the dense
   and whatever the memory layout of the input matrix;
 * the memory contract — one sparse iteration allocates less than three
   dense ``(M, M)`` buffers (the noise draw and the whole derivative its
-  relative scale needs).
+  relative scale needs);
+* the noise draw — standard normals scaled after the gather are
+  numpy's ``normal(0, scale)`` draw byte for byte, stream position
+  included, on the dense layout and on the support layout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CostWeights, CoverageCost
+import pytest
+
+from repro import CostWeights, CoverageCost, paper_topology
 from repro.core.initializers import paper_random_matrix
 from repro.core.perturbed import (
     AdaptiveOptions,
@@ -197,3 +202,27 @@ def test_sparse_iteration_allocates_less_than_three_dense_buffers():
         tracemalloc.stop()
     assert walk.iteration == 2
     assert peak < 3 * size * size * 8
+
+
+@pytest.mark.parametrize("layout", ["dense", "support"])
+def test_noise_draw_is_the_normal_draw(layout):
+    if layout == "dense":
+        cost = CoverageCost(paper_topology(2), CostWeights(alpha=1.0))
+    else:
+        cost = _cost("city-grid", 0, "paper")
+    state = cost.build_state(
+        paper_random_matrix(cost.size, seed=4, support=cost.support)
+    )
+    options = PerturbedOptions()
+    walk = PerturbedWalk(cost, state, 8, options)
+    walk.begin_iteration()
+    rng = np.random.default_rng(8)
+    values, gradient = cost.gradient_values(state, full=True)
+    rms = float(np.linalg.norm(gradient)) / state.p.size**0.5
+    noise = rng.normal(
+        0.0, options.sigma * max(rms, 1e-300), size=gradient.shape
+    )
+    ray_layout = cost.ray_layout()
+    expected = -ray_layout.project(values + ray_layout.values(noise))
+    assert walk._direction.tobytes() == expected.tobytes()
+    assert walk.rng.bit_generator.state == rng.bit_generator.state

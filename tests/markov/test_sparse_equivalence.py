@@ -99,8 +99,9 @@ class TestSparseStationaryTemplate:
         other = paper_random_matrix(
             support.shape[0], seed=77, support=support
         )
-        # A ray of nearby probes plus one distant matrix: both the
-        # iterative-refinement fast path and the refactor fallback.
+        # A ray of nearby probes plus one distant matrix, refined
+        # against the ray base's LU: both the iterative-refinement fast
+        # path and the refactor fallback.
         stack = np.stack([
             matrix,
             0.9 * matrix + 0.1 * other,
@@ -108,8 +109,9 @@ class TestSparseStationaryTemplate:
             other,
         ])
         template = SparseStationaryTemplate(support)
+        reference = SparseCoreSolver(matrix, template=template)
         solved = template.solve_batch(
-            template.values(stack), range(len(stack))
+            template.values(stack), range(len(stack)), reference
         )
         assert sorted(solved) == [0, 1, 2, 3]
         for index, pi in solved.items():
