@@ -17,9 +17,10 @@ in lockstep instead.  Three claims are measured (see
    one after another; the acceptance floor is 1.5x on every dense cell
    with ``random_starts >= 4``.
 3. **Memory (sparse)** — on a sparse city-grid the probes do not fuse,
-   so the driver advances one walk at a time; the cell reports wall
-   time and the ``tracemalloc`` peak of both, with no floor, to show
-   the driver holds no more than the loop.
+   so the driver runs one whole walk per start, one after another, as
+   the loop does; the cell reports wall time and the ``tracemalloc``
+   peak of both, with no floor, to show the driver holds no more than
+   the loop.
 
 Results are written to ``benchmarks/results/BENCH_rays.json``.
 

@@ -235,10 +235,13 @@ def _cmd_optimize(args) -> int:
         entropy_weight=args.entropy_weight,
     )
     extra_terms = _parse_term_flags(args)
-    cost = CoverageCost(
-        topology, weights, linalg=args.linalg,
-        extra_terms=extra_terms or (),
-    )
+    try:
+        cost = CoverageCost(
+            topology, weights, linalg=args.linalg,
+            extra_terms=extra_terms or (),
+        )
+    except ValueError as error:
+        raise SystemExit(f"repro optimize: {error}") from None
     method = args.method
     spec = OPTIMIZER_REGISTRY[method]
     options = {"max_iterations": args.iterations}

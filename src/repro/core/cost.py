@@ -34,7 +34,7 @@ from repro.core.registry import (
 )
 from repro.core.state import ChainState
 from repro.core.terms import ObjectiveTerm, TermBatch
-from repro.markov.sparse import SparseStationaryTemplate, sparse_stationary
+from repro.markov.sparse import SparseStationaryTemplate
 from repro.topology.model import Topology
 from repro.utils import perf
 from repro.utils.linalg import project_row_sum_zero
@@ -49,17 +49,24 @@ SPARSE_AUTO_THRESHOLD = 64
 def resolve_linalg(linalg: str, topology: Topology) -> str:
     """Resolve a requested ``linalg`` mode to ``"dense"`` or ``"sparse"``.
 
-    ``"auto"`` picks sparse only when it actually pays off *and* keeps
-    the paper-scale reference bit-exact: the topology must carry an
-    adjacency mask (else the core has no sparsity to exploit) and the
-    instance must be at least :data:`SPARSE_AUTO_THRESHOLD` PoIs.  An
-    explicit ``"sparse"`` is honored at any size.  Resolving loads
-    nothing: scipy is imported by the sparse solvers on their first
-    use.
+    The sparse path holds every matrix as its values on the topology's
+    adjacency mask, so ``"sparse"`` on a topology without one raises
+    ``ValueError``; an explicit ``"sparse"`` is honored on any topology
+    with an adjacency mask, whatever its size.  ``"auto"`` picks sparse
+    only when it actually pays off *and* keeps the paper-scale
+    reference bit-exact: the topology must carry an adjacency mask and
+    the instance must be at least :data:`SPARSE_AUTO_THRESHOLD` PoIs.
+    Resolving loads nothing: scipy is imported by the sparse solvers on
+    their first use.
     """
     if linalg not in LINALG_MODES:
         raise ValueError(
             f"linalg must be one of {LINALG_MODES}, got {linalg!r}"
+        )
+    if linalg == "sparse" and topology.adjacency is None:
+        raise ValueError(
+            "linalg='sparse' needs a topology with an adjacency mask; "
+            "this topology has none (use 'dense' or 'auto')"
         )
     if linalg != "auto":
         return linalg
@@ -125,11 +132,13 @@ class CoverageCost:
     """Cost function of the coverage-scheduling problem on a topology.
 
     ``linalg`` selects the linear-algebra backend: ``"dense"`` (the
-    bit-exact reference), ``"sparse"`` (large-``M``: each chain state
-    owns one sparse core factorization, no materialized ``Z``), or
-    ``"auto"`` (the default — see :func:`resolve_linalg`; paper-scale
-    dense topologies always resolve dense, so default results are
-    unchanged).
+    bit-exact reference), ``"sparse"`` (large-``M``, on any topology
+    with an adjacency mask: matrices are held as their support values
+    and each chain state owns one sparse core factorization, no
+    materialized ``Z``), or ``"auto"`` (the default — see
+    :func:`resolve_linalg`; paper-scale dense topologies always resolve
+    dense, so default results are unchanged).  ``"sparse"`` on a
+    topology without an adjacency mask raises ``ValueError``.
 
     Independently of ``linalg``, a topology carrying an adjacency mask
     gets the support-aware term set: the compact ``O(E)`` coverage term
@@ -265,38 +274,30 @@ class CoverageCost:
         """Eq. 11 projection, support-restricted when a mask is present."""
         return project_row_sum_zero(matrix, self._support)
 
-    def _get_stationary_template(self):
-        """Pre-indexed stationary system for the support pattern.
-
-        Falls back to ``None`` (plain :func:`sparse_stationary`) for
-        support-free costs running ``linalg="sparse"`` explicitly.
-        """
-        if self._stationary_template is None and self._support is not None:
-            self._stationary_template = SparseStationaryTemplate(
-                self._support
-            )
-        return self._stationary_template
-
     def _probe_template(self):
-        """The stationary template when line-search probes are support
-        values (the sparse path with a support), else ``None``.
+        """The sparse path's stationary template (built on first use),
+        or ``None`` on the dense path.
 
         The template owns the support-value layout: ``np.nonzero``
         order, with its gather, scatter and diagonal helpers.
         """
         if self.resolved_linalg != "sparse":
             return None
-        return self._get_stationary_template()
+        if self._stationary_template is None:
+            self._stationary_template = SparseStationaryTemplate(
+                self._support
+            )
+        return self._stationary_template
 
     def build_state(self, matrix: np.ndarray, check: bool = True) -> ChainState:
         """Build the :class:`ChainState` for ``matrix`` under this cost.
 
         Both paths are :meth:`ChainState.from_matrix`; the sparse one
-        solves ``pi`` through the cost's stationary template when there
-        is a support, and the state owns its core factorization.  With a
-        support mask, probability on infeasible legs is rejected up
-        front — it would silently bypass the support-restricted barrier
-        and coverage terms otherwise.
+        solves ``pi`` through the cost's stationary template, and the
+        state owns its core factorization.  With a support mask,
+        probability on infeasible legs is rejected up front — it would
+        silently bypass the support-restricted barrier and coverage
+        terms otherwise.
         """
         matrix = np.asarray(matrix, dtype=float)
         if check and self._support is not None and np.any(
@@ -306,12 +307,9 @@ class CoverageCost:
                 "matrix places probability on legs outside the "
                 "topology's adjacency support"
             )
-        if self.resolved_linalg == "sparse":
-            return ChainState.from_matrix(
-                matrix, check=check, linalg="sparse",
-                template=self._get_stationary_template(),
-            )
-        return ChainState.from_matrix(matrix, check=check)
+        return ChainState.from_matrix(
+            matrix, check=check, template=self._probe_template()
+        )
 
     def state_from_parts(self, p: np.ndarray, pi: np.ndarray,
                          z: Optional[np.ndarray]) -> ChainState:
@@ -322,19 +320,15 @@ class CoverageCost:
         """
         if z is not None:
             return ChainState.from_parts(p, pi, z)
-        return ChainState.from_parts(
-            p, pi, linalg="sparse", template=self._get_stationary_template()
-        )
+        return ChainState.from_parts(p, pi, template=self._probe_template())
 
     def _probe_state(self, p: np.ndarray, pi: np.ndarray,
                      z: Optional[np.ndarray]) -> ChainState:
         """The state of a probe a ray hands back: :meth:`state_from_parts`,
         minus the revalidation a sparse probe has already passed."""
-        if z is not None or self._support is None:
-            return self.state_from_parts(p, pi, z)
-        return ChainState._from_probe(
-            p, pi, self._get_stationary_template()
-        )
+        if z is not None:
+            return ChainState.from_parts(p, pi, z)
+        return ChainState._from_probe(p, pi, self._probe_template())
 
     def state(self, matrix: np.ndarray) -> ChainState:
         """Build the :class:`ChainState` for ``matrix``."""
@@ -411,8 +405,8 @@ class CoverageCost:
 
     def ray_layout(self):
         """How rays hold matrices: the stationary template's support
-        values on the sparse path with a support, else a
-        :class:`DenseLayout` of whole matrices.
+        values on the sparse path, else a :class:`DenseLayout` of whole
+        matrices.
 
         Either one gathers (``values``), scatters (``dense``) and
         projects (``project``, Eq. 11) in that layout, so the descent
@@ -424,8 +418,8 @@ class CoverageCost:
     def gradient(self, matrix_or_state) -> np.ndarray:
         """The total derivative ``[D_P U_eps]`` (Eq. 10).
 
-        On the sparse path with a support it is assembled on the support
-        values (:func:`~repro.core.gradient.support_derivative`).
+        On the sparse path it is assembled on the support values
+        (:func:`~repro.core.gradient.support_derivative`).
         """
         return self.gradient_values(matrix_or_state, full=True)[1]
 
@@ -433,7 +427,7 @@ class CoverageCost:
         """``[D_P U_eps]`` as the :meth:`ray_layout` holds matrices.
 
         Returns ``(values, dense)``: the derivative in the layout (its
-        support values on the sparse path with a support), and the whole
+        support values on the sparse path), and the whole
         ``(M, M)`` derivative when ``full``, else ``None``.  On the dense
         path both are the same matrix.
         """
@@ -514,16 +508,16 @@ class CoverageCost:
         Three steps: one feasibility mask, one chain step for the
         backend, then the :class:`CostSum` on a :class:`TermBatch`.  On
         the sparse path ``zs`` is ``None``: no fundamental matrix is
-        ever materialized — stationary distributions come from per-probe
-        sparse factorizations and exposures from their closed form, so
-        a whole line-search stage costs ``O(k (nnz + M^2))`` instead of
-        ``O(k M^3)``.
+        ever materialized — stationary distributions come from sparse
+        solves against the template and exposures from their closed
+        form, so a whole line-search stage costs ``O(k (nnz + M^2))``
+        instead of ``O(k M^3)``.
 
-        With an adjacency support, the sparse path also never builds a
-        dense matrix: ``stack`` may be a ``(k, nnz)`` array of support
-        values in ``np.nonzero(support)`` order (what :class:`RayBatch`
-        probes are), and a dense ``(k, M, M)`` stack is gathered to
-        those values, its off-support mass making a probe infeasible.
+        The sparse path never builds a dense matrix either: ``stack``
+        may be a ``(k, nnz)`` array of support values in
+        ``np.nonzero(support)`` order (what :class:`RayBatch` probes
+        are), and a dense ``(k, M, M)`` stack is gathered to those
+        values, its off-support mass making a probe infeasible.
 
         ``reference`` is a sparse :class:`ChainState` near the probes
         (a ray's base state): each probe's ``pi`` is refined against
@@ -534,34 +528,33 @@ class CoverageCost:
         stack = np.asarray(stack, dtype=float)
         size = self.size
         template = self._probe_template()
-        entry_path = template is not None
-        if entry_path and stack.shape[1:] == (template.nnz,):
+        sparse = template is not None
+        if sparse and stack.shape[1:] == (template.nnz,):
             entries, dense = stack, None
         elif stack.ndim == 3 and stack.shape[1:] == (size, size):
             dense = stack
-            entries = template.values(stack) if entry_path else None
+            entries = template.values(stack) if sparse else None
         else:
             expected = f"(k, {size}, {size})"
-            if entry_path:
+            if sparse:
                 expected += f" or (k, {template.nnz})"
             raise ValueError(
                 f"stack must have shape {expected}, got {stack.shape}"
             )
-        if entries is not None:
+        if sparse:
             # Column-major, the layout a gather ``stack[:, rows, cols]``
             # yields: numpy then sums each probe's values in support
             # order, so both inputs (and the terms' row sums) agree bit
             # for bit whatever layout the caller's array had.
             entries = np.asfortranarray(entries)
         k = len(stack)
-        sparse = self.resolved_linalg == "sparse"
         values = np.full(k, np.inf)
         if k == 0:
             zs = None if sparse else np.zeros((0, size, size))
             return values, np.zeros((0, size)), zs, np.zeros(0, dtype=bool)
         perf.count("batch_calls")
         perf.count("batch_matrices", k)
-        if entry_path:
+        if sparse:
             diag = template.diagonals(entries)
         else:
             diag = np.einsum("kii->ki", dense)
@@ -569,8 +562,7 @@ class CoverageCost:
             ok = self._batch_feasible(dense, entries, diag)
             if sparse:
                 pis, zs, exposures, solved = self._sparse_chain(
-                    dense if entries is None else entries, diag, ok,
-                    reference,
+                    template, entries, diag, ok, reference
                 )
             else:
                 pis, zs, exposures, solved = self._dense_chain(dense, diag)
@@ -578,7 +570,7 @@ class CoverageCost:
             if not ok.any():
                 return values, pis, zs, ok
             total = self._sum.batch_value(TermBatch(
-                pis=pis, stack=None if entry_path else dense, diag=diag,
+                pis=pis, stack=None if sparse else dense, diag=diag,
                 exposures=exposures, ok=ok, entries=entries,
             ))
         values[ok] = total[ok]
@@ -658,32 +650,22 @@ class CoverageCost:
         exposures = w.sum(axis=2) / (pis * (1.0 - diag))
         return pis, zs, exposures, solved
 
-    def _sparse_chain(self, probes, diag, ok, reference):
+    def _sparse_chain(self, template, entries, diag, ok, reference):
         """Sparse stationary solves of the ``ok`` probes, no ``Z``.
 
-        ``probes`` are support values with a support (the template's
-        input, refined against ``reference``'s core LU), else dense
-        matrices.  Exposures use the closed form
-        ``E_i = (1-pi_i)/(pi_i(1-p_ii))``.  Same return contract as
-        :meth:`_dense_chain` (``zs`` is ``None``); unsolved rows of
-        ``pis`` are NaN.
+        ``entries`` are the probes' support values, solved by
+        ``template`` and refined against ``reference``'s core LU.
+        Exposures use the closed form ``E_i = (1-pi_i)/(pi_i(1-p_ii))``.
+        Same return contract as :meth:`_dense_chain` (``zs`` is
+        ``None``); unsolved rows of ``pis`` are NaN.
         """
-        k, size = probes.shape[0], self.size
+        k, size = entries.shape[0], self.size
         pis = np.full((k, size), np.nan)
         solved = np.zeros(k, dtype=bool)
-        template = self._get_stationary_template()
-        if template is None:
-            found = {}
-            for index in np.nonzero(ok)[0]:
-                try:
-                    found[index] = sparse_stationary(probes[index])
-                except (ValueError, RuntimeError):
-                    continue  # singular / non-ergodic probe: stays +inf
-        else:
-            found = template.solve_batch(
-                probes, np.nonzero(ok)[0],
-                None if reference is None else reference.core_solver(),
-            )
+        found = template.solve_batch(
+            entries, np.nonzero(ok)[0],
+            None if reference is None else reference.core_solver(),
+        )
         for index, pi in found.items():
             if np.all(np.isfinite(pi)) and pi.min() > 0.0:
                 pis[index] = pi
@@ -759,12 +741,11 @@ class RayBatch:
     from scratch, paying a redundant stationary solve plus fundamental
     factorization per accepted step.
 
-    On the sparse path with a support (see
-    :meth:`CoverageCost.batch_evaluate`) the ray carries only the
-    support values of its base and direction, so every probe is a
-    ``(nnz,)`` row ``base + step * direction`` and a dense ``P`` is
-    scattered only for a state handed back (the winner, a fallback
-    probe).  Off-support zeros then hold for every probe by
+    On the sparse path (see :meth:`CoverageCost.batch_evaluate`) the
+    ray carries only the support values of its base and direction, so
+    every probe is a ``(nnz,)`` row ``base + step * direction`` and a
+    dense ``P`` is scattered only for a state handed back (the winner,
+    a fallback probe).  Off-support zeros then hold for every probe by
     construction.  The descent hands in its current :class:`ChainState`,
     whose ``P`` is gathered to support values; ``(nnz,)`` support values
     are taken as they are; dense ``(M, M)`` inputs are gathered, and the
@@ -940,7 +921,8 @@ class MultiRayBatch:
     its own call, which is exactly the single-ray evaluation.
 
     Used by :mod:`repro.core.multistart` to fuse the line searches of
-    all active multi-start trajectories at each descent iteration.
+    all active multi-start trajectories of a dense cost at each descent
+    iteration.
     """
 
     def __init__(self, cost: CoverageCost, rays) -> None:
@@ -954,12 +936,6 @@ class MultiRayBatch:
 
     def __len__(self) -> int:
         return len(self.rays)
-
-    @property
-    def fused(self) -> bool:
-        """Whether a stage stacks every ray into one evaluation (dense
-        probes) rather than one call per ray (support values)."""
-        return self._cost._probe_template() is None
 
     def _evaluated(self, steps_per_ray):
         """Evaluate the participating rays' probes; per-ray results.
@@ -979,7 +955,7 @@ class MultiRayBatch:
             parts.append((index, steps, self.rays[index]._probes(steps)))
         if not parts:
             return []
-        if not self.fused:
+        if self._cost._probe_template() is not None:
             return [
                 (index, steps, probes) + self.rays[index]._evaluate(probes)
                 for index, steps, probes in parts

@@ -9,9 +9,9 @@ Combines each term's partials with the Schweitzer adjoints:
 then projects onto the row-sum-zero subspace (Eq. 11) so a step along the
 negative projected gradient preserves row-stochasticity exactly.
 
-On the sparse path with an adjacency support only the supported entries
-of ``P`` can move, so :func:`support_derivative` assembles ``[D_P U]``
-on the support values (the layout of
+On the sparse path only the entries of ``P`` on the adjacency support
+can move, so :func:`support_derivative` assembles ``[D_P U]`` on the
+support values (the layout of
 :class:`~repro.markov.sparse.SparseStationaryTemplate`) and builds the
 dense ``(M, M)`` derivative only on request.  Each value is the same
 floating-point expression the dense assembly evaluates at that entry, so
@@ -58,26 +58,18 @@ def accumulate_partials(state: ChainState, terms: Iterable[ObjectiveTerm]):
 def total_derivative(
     state: ChainState, terms: Iterable[ObjectiveTerm]
 ) -> np.ndarray:
-    """The unprojected total derivative ``[D_P U]`` at ``state``.
+    """The unprojected total derivative ``[D_P U]`` at a dense ``state``.
 
-    Sparse states apply the stationary adjoint ``pi_k (Z dU/dpi)_l``
-    through one targeted core solve instead of the dense ``Z`` product
-    (the dense path keeps its explicit ``z @`` for bit-reproducibility).
-    The ``Z``-adjoint still requires the full matrix; sparse-mode terms
-    therefore fold their ``Z``-dependence into ``grad_pi``/``grad_p``
-    and return ``grad_z=None``, and any term that does not triggers a
-    one-time dense materialization.
+    Both adjoints read the state's explicit ``Z``; a sparse state's
+    derivative is :func:`support_derivative`.
     """
     grad_pi, grad_z, grad_p = accumulate_partials(state, terms)
     result = np.zeros_like(state.p)
     if grad_pi is not None:
-        if state.linalg == "sparse":
-            result += np.outer(state.pi, state.solve_core(grad_pi))
-        else:
-            result += adjoint_stationary_term(state.pi, state.z, grad_pi)
+        result += adjoint_stationary_term(state.pi, state.z, grad_pi)
     if grad_z is not None:
         result += adjoint_fundamental_term(
-            state.pi, state.dense_z(), grad_z, z2=state.z2
+            state.pi, state.z, grad_z, z2=state.z2
         )
     if grad_p is not None:
         result += grad_p

@@ -18,19 +18,20 @@ The default portfolio:
   schedules (see
   :func:`repro.core.initializers.damped_baseline_matrix`).
 
-In process, the starts run in **lockstep**: every start's
-:class:`~repro.core.perturbed.PerturbedWalk` advances one descent
-iteration at a time, and the same line-search stage of every walk
-(geometric sweep, each trisection round, the random fallback probes)
-runs as **one** :meth:`~repro.core.cost.CoverageCost.batch_evaluate`
-through :class:`~repro.core.cost.MultiRayBatch`.  For the paper's
-matrix sizes per-call dispatch overhead is a large fraction of each
-stacked call, so one taller call per stage is markedly faster than the
-starts one after another — same arithmetic, fewer round trips.  When
-the cost's probes are support values (the sparse path),
-:class:`~repro.core.cost.MultiRayBatch` evaluates each ray in its own
-call anyway, so fusing buys nothing; the walks then advance one at a
-time through the same loop and only one walk's state is alive at once.
+On a dense cost, in process, the starts run in **lockstep**: every
+start's :class:`~repro.core.perturbed.PerturbedWalk` advances one
+descent iteration at a time, and the same line-search stage of every
+walk (geometric sweep, each trisection round, the random fallback
+probes) runs as **one** :meth:`~repro.core.cost.CoverageCost.
+batch_evaluate` through :class:`~repro.core.cost.MultiRayBatch`.  For
+the paper's matrix sizes per-call dispatch overhead is a large fraction
+of each stacked call, so one taller call per stage is markedly faster
+than the starts one after another — same arithmetic, fewer round
+trips.  A sparse cost's probes are support values refined against their
+own ray's base state, one call per ray, so fusing buys nothing: its
+starts run one whole :func:`~repro.core.perturbed.optimize_perturbed`
+walk after another on every executor, serial included, and only one
+walk's state is alive at once.
 
 Every run is bit-identical to
 :func:`~repro.core.perturbed.optimize_perturbed` from the same start
@@ -49,13 +50,11 @@ per-start loop in ``tests/oracles/multistart.py``):
 
 Per-run :class:`~repro.utils.perf.OptimizerPerf` counters are the ones
 a lone walk records (one ``batch_call`` per walk per fused stage it
-took part in; on the sparse path each ray's call runs under its walk's
-counters, so a probe's own LU lands there too), so the "factorizations
-per accepted step" budget stays comparable; an ambient
-:func:`~repro.utils.perf.perf_scope` around the whole multi-start sees
-the fused calls instead.  A run's ``seconds`` is
-the wall time from the start of its group (all walks when fused, the
-walk alone otherwise) to the iteration it finished in.
+took part in), so the "factorizations per accepted step" budget stays
+comparable; an ambient :func:`~repro.utils.perf.perf_scope` around the
+whole multi-start sees the fused calls instead.  A lockstep run's
+``seconds`` is the wall time from the start of the lockstep loop to the
+iteration it finished in.
 
 Any other executor (``thread``, ``process``, or an instance) gets one
 task per start, each a whole :func:`optimize_perturbed` walk.
@@ -146,8 +145,6 @@ def default_start_portfolio(
     return starts
 
 
-
-
 def _run_start(task) -> OptimizationResult:
     """One portfolio start; module-level so it pickles for processes."""
     cost, matrix, rng, options = task
@@ -186,31 +183,6 @@ def _measured(counters: perf.PerfCounters):
             counters.add(name, amount)
 
 
-def _stage(batch, method: str, inputs, slots):
-    """One line-search stage of every walk: ``batch.<method>(inputs)``.
-
-    Returns ``(outputs, measured)``.  Dense rays share one stacked call
-    (``measured`` is ``False``: the caller attributes each walk its
-    single-walk share).  Support-value rays are evaluated one call per
-    ray anyway, so each call runs under its own walk's counters
-    (``measured`` is ``True``), and so do the sparse LUs a probe too far
-    from its ray's base needs.
-    """
-    call = getattr(batch, method)
-    if batch.fused:
-        with np.errstate(all="ignore"):
-            return call(inputs), False
-    outputs: List = [None] * len(inputs)
-    for index, (slot, item) in enumerate(zip(slots, inputs)):
-        if item is None:
-            continue
-        alone = [None] * len(inputs)
-        alone[index] = item
-        with np.errstate(all="ignore"), _measured(slot.counters):
-            outputs[index] = call(alone)[index]
-    return outputs, True
-
-
 def _fused_values(batch, steps_per_ray, slots) -> List[Optional[np.ndarray]]:
     """One fused line-search stage; sanitized values per participating ray.
 
@@ -218,7 +190,8 @@ def _fused_values(batch, steps_per_ray, slots) -> List[Optional[np.ndarray]]:
     non-finite probe values become ``inf`` before the search sees them.
     Attributes one single-walk ``batch_call`` to each participating walk.
     """
-    values, measured = _stage(batch, "evaluate", steps_per_ray, slots)
+    with np.errstate(all="ignore"):
+        values = batch.evaluate(steps_per_ray)
     out: List[Optional[np.ndarray]] = []
     for slot, steps, vals in zip(slots, steps_per_ray, values):
         if vals is None:
@@ -226,9 +199,8 @@ def _fused_values(batch, steps_per_ray, slots) -> List[Optional[np.ndarray]]:
             continue
         vals = np.asarray(vals, dtype=float)
         vals[~np.isfinite(vals)] = np.inf
-        if not measured:
-            slot.counters.add("batch_calls")
-            slot.counters.add("batch_matrices", int(np.asarray(steps).size))
+        slot.counters.add("batch_calls")
+        slot.counters.add("batch_matrices", int(np.asarray(steps).size))
         out.append(vals)
     return out
 
@@ -237,9 +209,8 @@ def _fused_probes(batch, step_per_ray, slots) -> List[Optional[tuple]]:
     """All walks' random fallback probes in one stacked call."""
     if all(step is None for step in step_per_ray):
         return [None] * len(step_per_ray)
-    probes, measured = _stage(batch, "probe_states", step_per_ray, slots)
-    if measured:
-        return probes
+    with np.errstate(all="ignore"):
+        probes = batch.probe_states(step_per_ray)
     for slot, step, probe in zip(slots, step_per_ray, probes):
         if step is None:
             continue
@@ -313,7 +284,8 @@ def _run_lockstep(
     streams: Sequence[np.random.Generator],
     options: PerturbedOptions,
 ) -> List[OptimizationResult]:
-    """Advance one walk per ``(matrix, stream)`` in lockstep to the end."""
+    """Advance one walk per ``(matrix, stream)`` of a dense cost in
+    lockstep to the end."""
     started = time.perf_counter()
     slots = []
     for matrix, stream in zip(matrices, streams):
@@ -365,12 +337,14 @@ def optimize_multistart(
     :func:`~repro.exec.executor.executor_scope` (``None`` means the
     process-wide default; one built from a backend name is closed
     before this returns).  A serial executor runs the starts in
-    process, in lockstep (see the module docstring); any other backend
-    name or :class:`~repro.exec.executor.Executor` instance runs one
-    :func:`optimize_perturbed` task per start.  ``transport`` selects
-    the process backend's payload transport (``"pickle"`` | ``"shm"``
-    | ``"auto"``, see :mod:`repro.exec.shm`) when this call constructs
-    the backend from a name.  Results are bit-identical across
+    process, in lockstep when ``cost`` is dense (see the module
+    docstring); any other backend name or
+    :class:`~repro.exec.executor.Executor` instance, and any executor
+    for a sparse cost, runs one :func:`optimize_perturbed` task per
+    start.  ``transport`` selects the process backend's payload
+    transport (``"pickle"`` | ``"shm"`` | ``"auto"``, see
+    :mod:`repro.exec.shm`) when this call constructs the backend from a
+    name.  Results are bit-identical across
     executors and transports.  ``options`` must be a trisection class
     (:class:`AdaptiveOptions` or :class:`PerturbedOptions`); any other
     raises :class:`TypeError`.
@@ -391,19 +365,11 @@ def optimize_multistart(
     matrices = [matrix for _, matrix in starts]
     del starts
     with executor_scope(executor, transport=transport) as runner:
-        if isinstance(runner, SerialExecutor):
-            # Support-value probes do not fuse (one call per ray either
-            # way), so the sparse path advances one walk at a time.
-            width = len(matrices) if cost._probe_template() is None else 1
-            runs = []
-            while matrices:
-                # Taken out of the lists, a group's start matrices are
-                # released once its walks are done with them.
-                group, group_streams = matrices[:width], streams[:width]
-                del matrices[:width], streams[:width]
-                runs.extend(
-                    _run_lockstep(cost, group, group_streams, options)
-                )
+        if (
+            isinstance(runner, SerialExecutor)
+            and cost._probe_template() is None
+        ):
+            runs = _run_lockstep(cost, matrices, streams, options)
         else:
             runs = runner.map(
                 _run_start,

@@ -54,6 +54,7 @@ from repro.core.options import OptimizerOptions, SearchOptions
 from repro.core.result import IterationRecord, OptimizationResult
 from repro.core.state import ChainState
 from repro.utils import perf
+from repro.utils.linalg import frobenius_norm
 from repro.utils.rng import (
     RandomState,
     as_generator,
@@ -248,7 +249,7 @@ class PerturbedWalk:
 
         The noisy gradient, the direction and the ray's base are held
         in the cost's :meth:`~repro.core.cost.CoverageCost.ray_layout`:
-        support values on the sparse path with a support.  Only a
+        support values on the sparse path.  Only a
         perturbed walk's derivative (its norm is the recorded
         ``gradient_norm`` and scales relative noise) and its noise draw
         (whose shape fixes the RNG stream) are whole ``(M, M)`` matrices.
@@ -263,7 +264,7 @@ class PerturbedWalk:
             self.state, full=gaussian
         )
         if gaussian:
-            self._gradient_norm = float(np.linalg.norm(gradient))
+            self._gradient_norm = frobenius_norm(gradient)
             if options.sigma > 0.0:
                 if options.relative_noise:
                     rms = self._gradient_norm / self.state.p.size**0.5
@@ -277,8 +278,8 @@ class PerturbedWalk:
                 )
         self._direction = -layout.project(noisy)
         if options.PERTURBATION == "none":
-            self._gradient_norm = float(
-                np.linalg.norm(layout.dense(self._direction))
+            self._gradient_norm = frobenius_norm(
+                layout.dense(self._direction)
             )
         if (
             options.STEP_POLICY == "constant"

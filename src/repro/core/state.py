@@ -15,17 +15,18 @@ Two hot-path optimizations live here:
   ``(pi, Z)`` — the batched line search hands its winning probe back to
   the optimizer this way, so an accepted step costs no new factorization.
 
-Large-``M`` states (``linalg="sparse"``) never materialize ``Z``: the
-``z`` field stays ``None`` and every ``Z @ v`` / ``v^T Z`` product routes
-through targeted solves against a sparse factorization of the core
-(:mod:`repro.markov.sparse`).  Each sparse state owns that
-factorization, the LU of the bordered core ``B = I - P + 1 e_n^T``, so
-its values depend only on its matrix and its ``pi``: a state built from
-a matrix on a support factors ``B`` once and reads ``pi`` from the same
-LU; a state assembled from parts factors it lazily on its first core
-solve.  Small-``M`` reference paths
-that genuinely need the full matrix call :meth:`ChainState.dense_z`,
-which materializes and caches it on demand.
+A state built on a support layout (a
+:class:`~repro.markov.sparse.SparseStationaryTemplate`) is sparse: it
+never materializes ``Z``, its ``z`` field stays ``None`` and every
+``Z @ v`` / ``v^T Z`` product routes through targeted solves against a
+sparse factorization of the core (:mod:`repro.markov.sparse`).  Each
+sparse state owns that factorization, the LU of the bordered core
+``B = I - P + 1 e_n^T``, so its values depend only on its matrix and
+its ``pi``: a state built from a matrix factors ``B`` once and reads
+``pi`` from the same LU; a state assembled from parts factors it lazily
+on its first core solve.  Small-``M`` reference paths that genuinely
+need the full matrix call :meth:`ChainState.dense_z`, which
+materializes and caches it on demand.
 """
 
 from __future__ import annotations
@@ -56,20 +57,17 @@ class ChainState:
     z:
         Fundamental matrix ``(I - P + W)^{-1}``, or ``None`` for sparse
         states (use :meth:`dense_z` if the full matrix is truly needed).
-    linalg:
-        ``"dense"`` (reference path) or ``"sparse"`` (large-``M`` path).
     template:
-        The support layout of a sparse state whose matrix vanishes off
+        The support layout of a sparse state, whose matrix vanishes off
         an adjacency support (a
         :class:`~repro.markov.sparse.SparseStationaryTemplate`), else
-        ``None``.  Its core factorization then reads ``P`` at the
-        support instead of scanning every entry.
+        ``None``.  Its core factorization reads ``P`` at the support
+        instead of scanning every entry.
     """
 
     p: np.ndarray
     pi: np.ndarray
     z: Optional[np.ndarray] = None
-    linalg: str = "dense"
     template: Optional[object] = field(
         default=None, repr=False, compare=False
     )
@@ -78,19 +76,22 @@ class ChainState:
     _lu_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.linalg not in ("dense", "sparse"):
+        if self.z is None and self.template is None:
             raise ValueError(
-                f"linalg must be 'dense' or 'sparse', got {self.linalg!r}"
+                "a state needs an explicit z or a sparse template"
             )
-        if self.z is None and self.linalg == "dense":
-            raise ValueError("dense states must carry an explicit z")
+
+    @property
+    def linalg(self) -> str:
+        """``"sparse"`` for a state on a support template, else
+        ``"dense"`` (the reference path)."""
+        return "dense" if self.template is None else "sparse"
 
     @classmethod
     def from_matrix(
         cls,
         matrix: np.ndarray,
         check: bool = True,
-        linalg: str = "dense",
         template=None,
     ):
         """Build the state for ``matrix``.
@@ -100,12 +101,10 @@ class ChainState:
         which is verified unconditionally because the downstream exposure
         formulas divide by ``pi``.
 
-        ``linalg="sparse"`` leaves ``z`` unmaterialized.  With a
-        ``template`` the state factors ``B = I - P + 1 e_n^T`` once and
+        With a ``template`` the state is sparse and leaves ``z``
+        unmaterialized: it factors ``B = I - P + 1 e_n^T`` once and
         reads ``pi = B^{-T} e_n`` from that LU, which its core solves
-        then reuse: one sparse factorization per state.  Without one,
-        ``pi`` comes from :func:`~repro.markov.sparse.sparse_stationary`
-        and the core is factored on the first core solve.
+        then reuse — one sparse factorization per state.
         """
         matrix = check_square("matrix", matrix)
         if check and not is_row_stochastic(matrix):
@@ -113,41 +112,29 @@ class ChainState:
                 "matrix must be row-stochastic; row sums are "
                 f"{np.asarray(matrix).sum(axis=1)}"
             )
-        if linalg == "sparse":
-            solver = None
-            if template is None:
-                from repro.markov.sparse import sparse_stationary
+        if template is None:
+            solver, pi = None, stationary_via_linear_solve(matrix)
+        else:
+            from repro.markov.sparse import SparseCoreSolver
 
-                pi = sparse_stationary(matrix)
-            else:
-                from repro.markov.sparse import SparseCoreSolver
-
-                solver = SparseCoreSolver(matrix, template=template)
-                pi = solver.pi
-            if np.any(pi <= 0):
-                raise ValueError(
-                    "stationary distribution has non-positive entries "
-                    f"(min {pi.min():.3g}); the chain is not ergodic"
-                )
-            perf.count("state_builds")
-            state = cls(
-                p=matrix, pi=pi, z=None, linalg="sparse", template=template
-            )
-            if solver is not None:
-                state._lu_cache.append(solver)
-            return state
-        pi = stationary_via_linear_solve(matrix)
+            solver = SparseCoreSolver(matrix, template=template)
+            pi = solver.pi
         if np.any(pi <= 0):
             raise ValueError(
                 "stationary distribution has non-positive entries "
                 f"(min {pi.min():.3g}); the chain is not ergodic"
             )
-        z = fundamental_matrix(matrix, pi)
-        # One stationary solve plus one core inverse: the only dense
-        # decompositions a state build performs.
-        perf.count("factorizations", 2)
+        if solver is None:
+            z = fundamental_matrix(matrix, pi)
+            # One stationary solve plus one core inverse: the only dense
+            # decompositions a state build performs.
+            perf.count("factorizations", 2)
+            state = cls(p=matrix, pi=pi, z=z)
+        else:
+            state = cls(p=matrix, pi=pi, template=template)
+            state._lu_cache.append(solver)
         perf.count("state_builds")
-        return cls(p=matrix, pi=pi, z=z)
+        return state
 
     @classmethod
     def from_parts(
@@ -155,7 +142,6 @@ class ChainState:
         p: np.ndarray,
         pi: np.ndarray,
         z: Optional[np.ndarray] = None,
-        linalg: str = "dense",
         template=None,
     ):
         """Assemble a state from already-computed ``(pi, Z)``.
@@ -168,13 +154,13 @@ class ChainState:
         trajectories.  ``p``/``pi``/``z`` are trusted (callers own
         their consistency).
 
-        Sparse probes carry no ``z``; pass ``linalg="sparse"`` and the
+        Sparse probes carry no ``z``; pass their ``template`` and the
         state factors its core lazily on first :meth:`solve_core`.
         """
         p = check_square("p", p)
         pi = np.asarray(pi, dtype=float)
-        if z is None and linalg != "sparse":
-            raise ValueError("z may be omitted only with linalg='sparse'")
+        if z is None and template is None:
+            raise ValueError("z may be omitted only with a sparse template")
         if z is not None:
             z = check_square("z", z)
             if z.shape != p.shape:
@@ -199,7 +185,6 @@ class ChainState:
             p=np.array(p, dtype=float),
             pi=np.array(pi, dtype=float),
             z=None if z is None else np.array(z, dtype=float),
-            linalg=linalg,
             template=template,
         )
 
@@ -214,10 +199,7 @@ class ChainState:
         :meth:`from_parts` makes are skipped.
         """
         perf.count("states_reused")
-        return cls(
-            p=p, pi=np.array(pi, dtype=float), z=None, linalg="sparse",
-            template=template,
-        )
+        return cls(p=p, pi=np.array(pi, dtype=float), template=template)
 
     @property
     def size(self) -> int:
@@ -263,7 +245,7 @@ class ChainState:
         along a ray from this state refines its probes against it.
         """
         if not self._lu_cache:
-            if self.linalg == "sparse":
+            if self.template is not None:
                 from repro.markov.sparse import SparseCoreSolver
 
                 self._lu_cache.append(
@@ -309,7 +291,7 @@ class ChainState:
                 "PoI and its exposure time is undefined (division by "
                 "1 - p_ii)"
             )
-        if self.linalg == "sparse":
+        if self.template is not None:
             return (1.0 - pi) / (pi * (1.0 - staying))
         z = self.z
         z_diag = np.diag(z)

@@ -81,8 +81,8 @@ class TermBatch(NamedTuple):
     garbage rows are never read; a term that would raise on them (the
     barrier, outside the ``[0, 1]`` box) skips them.
 
-    On the sparse path (``linalg="sparse"`` with an adjacency support)
-    no dense matrix is built: ``stack`` is ``None`` and ``entries``
+    On the sparse path (``linalg="sparse"``, which needs an adjacency
+    support) no dense matrix is built: ``stack`` is ``None`` and ``entries``
     holds each probe's support values in ``np.nonzero(support)`` order;
     ``diag`` is then 0 where ``(i, i)`` is unsupported.
     """
@@ -458,7 +458,9 @@ class ExposureTerm(ObjectiveTerm):
         return 0.5 * np.einsum("i,ki,ki->k", self.beta, e, e)
 
     def _sparse_partials(self, state: ChainState):
-        """``(dU/dpi, diagonal of dU/dP)`` of the sparse split.
+        """``(dU/dpi, diagonal of dU/dP)`` of the sparse split, which
+        :meth:`support_partials` assembles; ``grad_*`` are the dense
+        split.
 
         Closed form: the whole pi-dependence of E-bar_i is explicit,
         dE_i/dpi_i = -1 / (pi_i^2 (1 - p_ii)); the Z-chain that the
@@ -478,15 +480,11 @@ class ExposureTerm(ObjectiveTerm):
         return _exposure_support_partials(self, state, layout)
 
     def grad_pi(self, state: ChainState) -> np.ndarray:
-        if state.linalg == "sparse":
-            return self._sparse_partials(state)[0]
         e, _, _ = self._pieces(state)
         # de_i/dpi_i = -e_i / pi_i  (pi enters only through the denominator).
         return -self.beta * e * e / state.pi
 
-    def grad_z(self, state: ChainState) -> Optional[np.ndarray]:
-        if state.linalg == "sparse":
-            return None
+    def grad_z(self, state: ChainState) -> np.ndarray:
         e, _, staying = self._pieces(state)
         denom = state.pi * (1.0 - staying)
         scale = self.beta * e  # beta_i e_i, chain through e_i
@@ -499,8 +497,6 @@ class ExposureTerm(ObjectiveTerm):
         return grad
 
     def grad_p(self, state: ChainState) -> np.ndarray:
-        if state.linalg == "sparse":
-            return np.diag(self._sparse_partials(state)[1])
         e, _, staying = self._pieces(state)
         denom = state.pi * (1.0 - staying)
         scale = self.beta * e
@@ -516,8 +512,6 @@ def _exposure_support_partials(term, state: ChainState, layout):
     """Support partials of an exposure term's sparse split, whose
     ``dU/dP`` lives on the diagonal (a remainder off a support without
     every self-loop)."""
-    if state.linalg != "sparse":
-        return CostTerm.support_partials(term, state, layout)
     grad_pi, diagonal = term._sparse_partials(state)
     values = np.zeros(layout.nnz)
     values[layout.diag_slots] = diagonal[layout.diag_rows]
@@ -696,15 +690,11 @@ class WorstExposureTerm(CostTerm):
         return _exposure_support_partials(self, state, layout)
 
     def grad_pi(self, state: ChainState) -> np.ndarray:
-        if state.linalg == "sparse":
-            return self._sparse_partials(state)[0]
         e, _, _ = ExposureTerm._pieces(state)
         # Dense split: dE_i/dpi_i = -E_i / pi_i.
         return -self._scale(e) * e / state.pi
 
-    def grad_z(self, state: ChainState) -> Optional[np.ndarray]:
-        if state.linalg == "sparse":
-            return None
+    def grad_z(self, state: ChainState) -> np.ndarray:
         e, _, staying = ExposureTerm._pieces(state)
         scale = self._scale(e)
         denom = state.pi * (1.0 - staying)
@@ -716,8 +706,6 @@ class WorstExposureTerm(CostTerm):
         return grad
 
     def grad_p(self, state: ChainState) -> np.ndarray:
-        if state.linalg == "sparse":
-            return np.diag(self._sparse_partials(state)[1])
         e, _, staying = ExposureTerm._pieces(state)
         scale = self._scale(e)
         denom = state.pi * (1.0 - staying)

@@ -35,11 +35,17 @@ only factorization a chain state needs
 the core solves.  Line-search probes along a ray solve
 ``B(P')^T x = e_n`` by iterative refinement against the LU of the ray's
 base state, starting from the base's ``pi``, so a probe's ``pi`` depends
-only on that base and the probe itself.  The support-free path,
-:func:`sparse_stationary`, solves the stationary system through a
-sparse LU of the bordered ``(I - P^T;`` last row ones``)`` matrix with
-the exact sanitize semantics of
-:func:`~repro.markov.stationary.stationary_via_linear_solve`.
+only on that base and the probe itself.
+
+Every chain state and probe of a sparse cost goes through the template:
+``linalg="sparse"`` needs an adjacency mask.  Two template-free
+primitives stay at the markov level, for :mod:`repro.markov.incremental`
+and the markov tests: :func:`sparse_stationary` solves the stationary
+system through a sparse LU of the bordered ``(I - P^T;`` last row
+ones``)`` matrix with the exact sanitize semantics of
+:func:`~repro.markov.stationary.stationary_via_linear_solve`, and
+:class:`SparseCoreSolver` without a template assembles ``B`` from every
+nonzero of a dense ``P``.
 
 scipy is imported inside the functions that factor or assemble sparse
 systems, not with the module: :mod:`repro.core.cost` imports this module

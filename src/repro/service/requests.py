@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.api import OPTIMIZER_REGISTRY
-from repro.core.cost import LINALG_MODES, CostWeights, CoverageCost
+from repro.core.cost import CostWeights, CoverageCost, resolve_linalg
 from repro.core.options import coerce_options
 from repro.core.registry import normalize_extra_terms
 from repro.persist import (
@@ -122,17 +122,16 @@ def optimize_request(
     the method's dataclass or a mapping (unknown keys raise), ``terms``
     composes plugin objectives, ``starts`` sizes the multi-start
     portfolio (ignored by single-start methods, and then excluded from
-    the request identity).
+    the request identity).  ``linalg`` is resolved against
+    ``topology`` here, so a request the cost would refuse (an unknown
+    mode, ``"sparse"`` without an adjacency mask) is never queued.
     """
     if method not in OPTIMIZER_REGISTRY:
         known = ", ".join(sorted(OPTIMIZER_REGISTRY))
         raise ValueError(
             f"unknown method {method!r}; available methods: {known}"
         )
-    if linalg not in LINALG_MODES:
-        raise ValueError(
-            f"unknown linalg {linalg!r}; valid: {LINALG_MODES}"
-        )
+    resolve_linalg(linalg, topology)
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     spec = OPTIMIZER_REGISTRY[method]

@@ -33,6 +33,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.cost import resolve_linalg
 from repro.exec import get_executor
 from repro.sweep.aggregate import front_summary
 from repro.sweep.grid import (
@@ -193,6 +194,9 @@ def run_sweep(
             key = topology_key(cell)
             if key not in topologies:
                 topologies[key] = build_topology(cell)
+            # Before any cell runs: a linalg mode the topology refuses
+            # (sparse without an adjacency mask) fails the whole sweep.
+            resolve_linalg(cell.linalg, topologies[key])
             tasks.append((cell, topologies[key]))
             shard_of.append(shard)
 

@@ -91,6 +91,30 @@ def scatter_flat(
     return out.reshape(size, size)
 
 
+#: Most entries :func:`frobenius_norm` sums with one ``dot``: OpenBLAS
+#: splits a longer ``ddot`` across its threads, and the split changes
+#: the order, hence the rounding, of the sum.
+NORM_CHUNK = 10_000
+
+
+def frobenius_norm(array: np.ndarray) -> float:
+    """``np.linalg.norm(array)``, the same for any BLAS thread count.
+
+    ``np.linalg.norm`` is ``sqrt(x.dot(x))`` over the flattened array,
+    a BLAS ``ddot`` that OpenBLAS runs on several threads for long
+    vectors.  Here the squares are summed one chunk of at most
+    :data:`NORM_CHUNK` entries at a time, in order, so the result does
+    not depend on the thread count; an array of up to that many entries
+    gets exactly ``np.linalg.norm``'s arithmetic.
+    """
+    flat = np.ravel(np.asarray(array, dtype=float), order="K")
+    total = 0.0
+    for start in range(0, flat.size, NORM_CHUNK):
+        part = flat[start:start + NORM_CHUNK]
+        total += part.dot(part)
+    return float(np.sqrt(total))
+
+
 def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
     """Return ``||actual - expected|| / max(1, ||expected||)`` (Frobenius)."""
     actual = np.asarray(actual, dtype=float)

@@ -43,9 +43,9 @@ class PerfCounters:
     per-matrix Python round trip).  The sparse path counts its own
     work: ``sparse_factorizations`` counts every sparse LU (each
     ``splu`` call in :mod:`repro.markov.sparse`): one per sparse chain
-    state on a support, plus a line-search probe's own factorization
-    when refinement against its ray's base misses (and, on the
-    support-free sparse path, stationary and core LUs separately).
+    state, plus a line-search probe's own factorization when
+    refinement against its ray's base misses (the template-free markov
+    primitives count theirs too).
     ``incremental_updates`` and ``incremental_refactorizations`` count
     the low-rank updates and resets of
     :class:`~repro.markov.incremental.IncrementalCoreTracker`, which no

@@ -4,6 +4,8 @@
 adjacency mask, small M) and switch to the sparse solvers only for
 large support-masked topologies; explicit selections are honored
 everywhere the cost travels — facade, CLI, pickled executor workers.
+``"sparse"`` needs an adjacency mask: every surface that takes a
+``linalg`` refuses it on a topology without one, before any work runs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro import (
     scalable_topology,
 )
 from repro.cli import main
+from repro.service import optimize_request
+from repro.sweep import SweepGrid, run_sweep
 from repro.core.cost import (
     LINALG_MODES,
     SPARSE_AUTO_THRESHOLD,
@@ -48,7 +52,11 @@ class TestResolveLinalg:
     def test_explicit_selections_honored(self):
         topology = paper_topology(1)
         assert resolve_linalg("dense", topology) == "dense"
-        assert resolve_linalg("sparse", topology) == "sparse"
+        with pytest.raises(ValueError, match="adjacency mask"):
+            resolve_linalg("sparse", topology)
+        small = scalable_topology("city-grid", 36, seed=1)
+        assert small.size < SPARSE_AUTO_THRESHOLD
+        assert resolve_linalg("sparse", small) == "sparse"
 
     def test_auto_stays_dense_without_adjacency(self):
         assert resolve_linalg("auto", paper_topology(1)) == "dense"
@@ -152,9 +160,65 @@ class TestFacade:
             == explicit.best_matrix.tobytes()
         )
 
+    def test_sparse_without_adjacency_rejected(self):
+        cost = CoverageCost(paper_topology(1), WEIGHTS)
+        with pytest.raises(ValueError, match="adjacency mask"):
+            optimize(cost, method="perturbed", seed=7, linalg="sparse")
+
     def test_mirror_rejects_support_topologies(self):
         with pytest.raises(ValueError, match="softmax"):
             optimize_mirror(sparse_cost(linalg="sparse"))
+
+
+class TestSparseNeedsAdjacency:
+    """``linalg="sparse"`` on a topology without an adjacency mask is
+    refused up front by every surface."""
+
+    def test_cost(self):
+        with pytest.raises(ValueError, match="adjacency mask"):
+            CoverageCost(paper_topology(1), WEIGHTS, linalg="sparse")
+
+    def test_with_linalg(self):
+        cost = CoverageCost(paper_topology(1), WEIGHTS)
+        with pytest.raises(ValueError, match="adjacency mask"):
+            cost.with_linalg("sparse")
+
+    def test_optimize_request(self):
+        with pytest.raises(ValueError, match="adjacency mask"):
+            optimize_request(paper_topology(1), linalg="sparse")
+        request = optimize_request(
+            scalable_topology("city-grid", 36, seed=1), linalg="sparse"
+        )
+        assert request.params["linalg"] == "sparse"
+
+    def test_run_sweep_fails_before_any_cell(self, tmp_path, monkeypatch):
+        import repro.sweep.driver as driver
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("the executor opened")
+
+        monkeypatch.setattr(driver, "get_executor", no_executor)
+        grid = SweepGrid(
+            topologies=(
+                {"family": "city-grid", "sizes": [36]},
+                {"family": "paper", "sizes": [1]},
+            ),
+            weights=({"alpha": 1.0, "beta": 0.01},),
+            methods=("adaptive",),
+            seeds=(0,),
+            iterations=2,
+            linalg="sparse",
+        )
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="adjacency mask"):
+            run_sweep(grid, out)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_cli_optimize_exits_with_the_message(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimize", "--paper", "1", "--linalg", "sparse"])
+        assert exit_info.value.code != 0
+        assert "adjacency mask" in str(exit_info.value.code)
 
 
 class TestCli:

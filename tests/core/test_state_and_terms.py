@@ -6,9 +6,12 @@ which isolates mistakes per-term instead of only catching them in the
 total gradient.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from repro.core.initializers import paper_random_matrix
 from repro.core.state import ChainState
 from repro.core.terms import (
     CoverageDeviationTerm,
@@ -19,8 +22,9 @@ from repro.core.terms import (
 )
 from repro.markov.fundamental import factor_core, fundamental_matrix
 from repro.markov.passage import first_passage_times
+from repro.markov.sparse import SparseStationaryTemplate
 from repro.markov.stationary import stationary_via_linear_solve
-from repro import paper_topology
+from repro import paper_topology, scalable_topology
 from repro.utils.perf import perf_scope
 
 
@@ -100,6 +104,30 @@ class TestChainState:
         assert transposed.tobytes() == (
             reference.solve_transpose(rhs).tobytes()
         )
+
+    def test_backend_follows_the_template(self, state):
+        assert state.linalg == "dense"
+        assert not any(
+            field.name == "linalg" for field in fields(ChainState)
+        )
+        topology = scalable_topology("city-grid", 36, seed=1)
+        template = SparseStationaryTemplate(topology.adjacency)
+        matrix = paper_random_matrix(
+            topology.size, seed=2, support=topology.adjacency
+        )
+        built = ChainState.from_matrix(matrix, template=template)
+        assert built.linalg == "sparse" and built.z is None
+        parts = ChainState.from_parts(matrix, built.pi, template=template)
+        assert parts.linalg == "sparse"
+        assert parts.solve_core(np.ones(topology.size)).shape == (
+            topology.size,
+        )
+
+    def test_from_parts_without_z_needs_a_template(self, state):
+        with pytest.raises(ValueError, match="template"):
+            ChainState.from_parts(state.p, state.pi)
+        with pytest.raises(ValueError, match="template"):
+            ChainState(p=state.p, pi=state.pi)
 
     def test_r_lazily_computed(self, state):
         np.testing.assert_allclose(

@@ -184,9 +184,7 @@ def test_state_pi_matches_the_dense_solve(
     support = template.dense(np.ones(template.nnz)) > 0
     matrix = _chain(support, np.random.default_rng(seed), near_barrier)
     with perf.perf_scope() as counters:
-        state = ChainState.from_matrix(
-            matrix, linalg="sparse", template=template
-        )
+        state = ChainState.from_matrix(matrix, template=template)
     assert counters.sparse_factorizations == 1
     if near_barrier:
         values = template.values(matrix)

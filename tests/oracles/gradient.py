@@ -24,9 +24,13 @@ from repro.core.linesearch import feasible_step_bound
 from repro.core.penalty import BarrierPenalty
 from repro.core.registry import ScaledTerm
 from repro.core.state import ChainState
-from repro.core.terms import SupportCoverageTerm
+from repro.core.terms import (
+    ExposureTerm,
+    SupportCoverageTerm,
+    WorstExposureTerm,
+)
 from repro.markov.perturbation import adjoint_fundamental_term
-from repro.utils.linalg import project_row_sum_zero
+from repro.utils.linalg import frobenius_norm, project_row_sum_zero
 
 
 def _coverage_partials(term: SupportCoverageTerm, state: ChainState):
@@ -63,6 +67,11 @@ def partials(term, state: ChainState):
         grad_p = np.zeros_like(state.p)
         grad_p[term.support] = term.elementwise_grad(state.p[term.support])
         return None, None, grad_p
+    if isinstance(term, (ExposureTerm, WorstExposureTerm)):
+        # The sparse split: Z's chain folded into dU/dpi, dU/dP on the
+        # diagonal.
+        grad_pi, diagonal = term._sparse_partials(state)
+        return grad_pi, None, np.diag(diagonal)
     return term.grad_pi(state), term.grad_z(state), term.grad_p(state)
 
 
@@ -107,7 +116,7 @@ def begin_iteration(cost, state: ChainState, rng, options):
     gradient = total_derivative(state, cost.terms)
     gradient_norm = None
     if options.PERTURBATION == "gaussian":
-        gradient_norm = float(np.linalg.norm(gradient))
+        gradient_norm = frobenius_norm(gradient)
         if options.sigma > 0.0:
             if options.relative_noise:
                 rms = gradient_norm / state.p.size**0.5
@@ -119,5 +128,5 @@ def begin_iteration(cost, state: ChainState, rng, options):
             )
     direction = -project_row_sum_zero(gradient, cost.support)
     if options.PERTURBATION == "none":
-        gradient_norm = float(np.linalg.norm(direction))
+        gradient_norm = frobenius_norm(direction)
     return direction, gradient_norm, feasible_step_bound(state.p, direction)

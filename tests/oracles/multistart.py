@@ -1,7 +1,7 @@
 """Reference multi-start: the portfolio's starts one after another.
 
 :func:`optimize_multistart` draws the portfolio from ``seed``, spawns
-one RNG stream per start, and runs the starts' walks in lockstep.  This
+one RNG stream per start, and runs a dense cost's walks in lockstep.  This
 oracle makes the same draws and then runs one plain
 :func:`~repro.core.perturbed.optimize_perturbed` per start, so every
 run it returns is what the in-process driver must return bit for bit
