@@ -2,7 +2,10 @@
 
 Every paper method (``basic``, ``adaptive``, ``perturbed``) runs on the
 dense paper topologies 1-3 and on a city-grid M = 64 under
-``linalg="auto"`` (the sparse path), and ``multistart`` runs in
+``linalg="auto"`` (the sparse path); a perturbed descent runs on a
+city-grid M = 36 under ``linalg="dense"`` (the shape of a sweep's
+city-grid cells: dense states served by the support coverage term);
+and ``multistart`` runs in
 process (its starts in lockstep) and on the thread backend, both
 against the one ``multistart.serial`` record.  The fixture
 ``golden_trajectories.json`` stores, per run, the sha256 of the final
@@ -63,6 +66,13 @@ def _city_grid():
     )
 
 
+def _dense_city_grid(size):
+    return CoverageCost(
+        scalable_topology("city-grid", size),
+        CostWeights(alpha=1.0, beta=1.0), linalg="dense",
+    )
+
+
 def _cases():
     cases = {}
     for index in (1, 2, 3):
@@ -112,6 +122,10 @@ def _cases():
     )
     cases["citygrid64-perturbed"] = (
         _city_grid, None, "perturbed", 4, dict(SPARSE, stall_limit=100)
+    )
+    cases["citygrid36-dense-perturbed"] = (
+        _dense_city_grid, 36, "perturbed", 4,
+        dict(PERTURBED, max_iterations=12, stall_limit=100),
     )
     return cases
 
