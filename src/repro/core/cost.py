@@ -37,7 +37,7 @@ from repro.core.terms import ObjectiveTerm, TermBatch
 from repro.markov.sparse import SparseStationaryTemplate
 from repro.topology.model import Topology
 from repro.utils import perf
-from repro.utils.linalg import project_row_sum_zero
+from repro.utils.linalg import frobenius_norm, project_row_sum_zero
 
 #: Valid ``linalg`` selections.
 LINALG_MODES = ("auto", "dense", "sparse")
@@ -419,24 +419,37 @@ class CoverageCost:
         """The total derivative ``[D_P U_eps]`` (Eq. 10).
 
         On the sparse path it is assembled on the support values
-        (:func:`~repro.core.gradient.support_derivative`).
+        (:func:`~repro.core.gradient.support_derivative`) and scattered
+        into the whole matrix.
         """
-        return self.gradient_values(matrix_or_state, full=True)[1]
+        state = self._as_state(matrix_or_state)
+        template = self._probe_template()
+        if template is None:
+            return total_derivative(state, self.terms)
+        return support_derivative(state, self.terms, template).dense(
+            template
+        )
 
-    def gradient_values(self, matrix_or_state, full: bool = False):
+    def gradient_values(self, matrix_or_state, norm: bool = False):
         """``[D_P U_eps]`` as the :meth:`ray_layout` holds matrices.
 
-        Returns ``(values, dense)``: the derivative in the layout (its
-        support values on the sparse path), and the whole
-        ``(M, M)`` derivative when ``full``, else ``None``.  On the dense
-        path both are the same matrix.
+        Returns ``(values, norm)``: the derivative in the layout (its
+        support values on the sparse path, the whole matrix on the dense
+        path), and, when ``norm``, the Frobenius norm of the whole
+        derivative (else ``None``).  The sparse path takes that norm
+        without building the ``(M, M)`` derivative
+        (:meth:`~repro.core.gradient.SupportDerivative.norm`).
         """
         state = self._as_state(matrix_or_state)
         template = self._probe_template()
         if template is None:
             gradient = total_derivative(state, self.terms)
-            return gradient, gradient
-        return support_derivative(state, self.terms, template, full=full)
+            return gradient, frobenius_norm(gradient) if norm else None
+        derivative = support_derivative(state, self.terms, template)
+        return (
+            derivative.values,
+            derivative.norm(template) if norm else None,
+        )
 
     def projected_gradient(self, matrix_or_state) -> np.ndarray:
         """``Pi [D_P U_eps]`` (Eq. 11), support-restricted when masked."""
@@ -444,7 +457,7 @@ class CoverageCost:
         template = self._probe_template()
         if template is None:
             return projected_gradient(state, self.terms, self._support)
-        values, _ = support_derivative(state, self.terms, template)
+        values = support_derivative(state, self.terms, template).values
         return template.dense(template.project(values))
 
     def descent_direction(self, matrix_or_state) -> np.ndarray:

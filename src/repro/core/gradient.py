@@ -12,15 +12,17 @@ negative projected gradient preserves row-stochasticity exactly.
 On the sparse path only the entries of ``P`` on the adjacency support
 can move, so :func:`support_derivative` assembles ``[D_P U]`` on the
 support values (the layout of
-:class:`~repro.markov.sparse.SparseStationaryTemplate`) and builds the
-dense ``(M, M)`` derivative only on request.  Each value is the same
-floating-point expression the dense assembly evaluates at that entry, so
-both agree bit for bit.
+:class:`~repro.markov.sparse.SparseStationaryTemplate`) and keeps the
+off-support part as the pieces it is made of: the dense ``(M, M)``
+derivative is built only on request, and its Frobenius norm, which the
+perturbed walk records and scales its noise by, comes from the support
+values and two ``M``-vectors.  Each value is the same floating-point
+expression the dense assembly evaluates at that entry.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,7 +32,11 @@ from repro.markov.perturbation import (
     adjoint_fundamental_term,
     adjoint_stationary_term,
 )
-from repro.utils.linalg import project_row_sum_zero
+from repro.utils.linalg import (
+    frobenius_norm,
+    project_row_sum_zero,
+    sum_of_squares,
+)
 
 
 def accumulate_partials(state: ChainState, terms: Iterable[ObjectiveTerm]):
@@ -83,20 +89,71 @@ def _add(total, piece):
     return piece if total is None else total + piece
 
 
+class SupportDerivative(NamedTuple):
+    """``[D_P U]`` at a sparse state: its support values, and what its
+    off-support entries are made of.
+
+    Off the support the derivative is the stationary adjoint
+    ``pi_j s_k`` (``s`` solves the core against ``dU/dpi``), plus a
+    ``Z``-adjoint and the terms' dense ``dU/dP`` remainders when a term
+    has them.  Only those two pieces are ``(M, M)`` arrays.
+    """
+
+    values: np.ndarray            # (nnz,) derivative on the support
+    pi: np.ndarray                # (M,) stationary distribution
+    solved: Optional[np.ndarray]  # (M,) s = core^{-1} dU/dpi
+    outer: Optional[np.ndarray]   # (nnz,) pi_j s_k on the support
+    adjoint: Optional[np.ndarray]    # (M, M) Z-adjoint
+    remainder: Optional[np.ndarray]  # (M, M) terms' dense dU/dP
+
+    def dense(self, layout) -> np.ndarray:
+        """The whole ``(M, M)`` derivative: the off-support pieces
+        accumulated into a zero as :func:`total_derivative` does, with
+        the support values scattered in."""
+        # C order, so the support values scatter through a flat view.
+        dense = np.zeros((layout.size, layout.size))
+        if self.solved is not None:
+            dense += np.outer(self.pi, self.solved)
+        if self.adjoint is not None:
+            dense += self.adjoint
+        if self.remainder is not None:
+            dense += self.remainder
+        dense.reshape(-1)[layout.flat] = self.values
+        return dense
+
+    def norm(self, layout) -> float:
+        """The Frobenius norm of :meth:`dense`, in ``O(nnz + M)`` when no
+        term carries a dense piece.
+
+        The off-support squares of the outer product are
+        ``|pi|^2 |s|^2 - sum_support (pi_j s_k)^2``; every sum is a
+        :func:`~repro.utils.linalg.sum_of_squares`, so the norm does not
+        depend on the BLAS thread count.  With a ``Z``-adjoint or a
+        remainder the whole derivative is summed instead.
+        """
+        if self.adjoint is not None or self.remainder is not None:
+            return frobenius_norm(self.dense(layout))
+        squares = sum_of_squares(self.values)
+        if self.solved is not None:
+            off = (
+                sum_of_squares(self.pi) * sum_of_squares(self.solved)
+                - sum_of_squares(self.outer)
+            )
+            squares += max(off, 0.0)
+        return float(np.sqrt(squares))
+
+
 def support_derivative(
-    state: ChainState, terms: Iterable[ObjectiveTerm], layout,
-    full: bool = False,
-):
+    state: ChainState, terms: Iterable[ObjectiveTerm], layout
+) -> SupportDerivative:
     """``[D_P U]`` at a sparse state, on the support of ``layout``.
 
-    Returns ``(values, dense)``: the ``(nnz,)`` derivative values, and
-    the whole ``(M, M)`` derivative when ``full`` (else ``None``).  The
-    terms' :meth:`~repro.core.terms.CostTerm.support_partials` are
-    summed in term order, and each entry accumulates its pieces into a
-    zero exactly as :func:`total_derivative` does: the stationary
-    adjoint ``pi_j s_k``, then any ``Z``-adjoint, then ``dU/dP``.  The
-    dense derivative is the outer product with the support values
-    scattered in; off the support it adds each term's dense remainder.
+    The terms' :meth:`~repro.core.terms.CostTerm.support_partials` are
+    summed in term order, and each support value accumulates its pieces
+    into a zero exactly as :func:`total_derivative` does: the stationary
+    adjoint ``pi_j s_k``, then any ``Z``-adjoint, then ``dU/dP``.  No
+    ``(M, M)`` array is built unless a term has a ``Z`` partial or a
+    dense remainder.
     """
     grad_pi = grad_z = values = remainder = None
     for term in terms:
@@ -106,28 +163,21 @@ def support_derivative(
         values = _add(values, part.values)
         remainder = _add(remainder, part.remainder)
     total = np.zeros(layout.nnz)
-    # C order whatever the layout of ``state.p``: the support values are
-    # scattered through a flat view, which only a C array gives.
-    dense = np.zeros(state.p.shape) if full else None
+    solved = outer = adjoint = None
     if grad_pi is not None:
         solved = state.solve_core(grad_pi)
-        total += state.pi[layout.rows] * solved[layout.cols]
-        if full:
-            dense += np.outer(state.pi, solved)
+        outer = state.pi[layout.rows] * solved[layout.cols]
+        total += outer
     if grad_z is not None:
         adjoint = adjoint_fundamental_term(
             state.pi, state.dense_z(), grad_z, z2=state.z2
         )
         total += layout.values(adjoint)
-        if full:
-            dense += adjoint
     if values is not None:
         total += values
-    if full:
-        if remainder is not None:
-            dense += remainder
-        dense.reshape(-1)[layout.flat] = total
-    return total, dense
+    return SupportDerivative(
+        total, state.pi, solved, outer, adjoint, remainder
+    )
 
 
 def projected_gradient(

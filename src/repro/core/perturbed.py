@@ -249,10 +249,16 @@ class PerturbedWalk:
 
         The noisy gradient, the direction and the ray's base are held
         in the cost's :meth:`~repro.core.cost.CoverageCost.ray_layout`:
-        support values on the sparse path.  Only a
-        perturbed walk's derivative (its norm is the recorded
-        ``gradient_norm`` and scales relative noise) and its noise draw
-        (whose shape fixes the RNG stream) are whole ``(M, M)`` matrices.
+        support values on the sparse path, whole ``(M, M)`` matrices on
+        the dense path.  The Gaussian noise is drawn in that layout, one
+        standard normal per value: ``M^2`` on the dense path, ``nnz`` on
+        the sparse path, whose off-support draws the projection (Eq. 11)
+        would discard.  The recorded ``gradient_norm`` is the Frobenius
+        norm of the whole derivative for perturbed walks (it also scales
+        relative noise, per ``M^2`` entries on either path) and of the
+        direction for basic and adaptive walks; the sparse path takes
+        both from support values and ``M``-vectors, so a sparse
+        iteration builds no ``(M, M)`` array.
         """
         if self.finished:
             return None
@@ -260,11 +266,9 @@ class PerturbedWalk:
         self.iteration += 1
         layout = self.cost.ray_layout()
         gaussian = options.PERTURBATION == "gaussian"
-        noisy, gradient = self.cost.gradient_values(
-            self.state, full=gaussian
-        )
+        noisy, norm = self.cost.gradient_values(self.state, norm=gaussian)
         if gaussian:
-            self._gradient_norm = frobenius_norm(gradient)
+            self._gradient_norm = norm
             if options.sigma > 0.0:
                 if options.relative_noise:
                     rms = self._gradient_norm / self.state.p.size**0.5
@@ -272,15 +276,13 @@ class PerturbedWalk:
                 else:
                     noise_scale = options.sigma
                 # ``normal(0, s)`` draws ``0 + s * z``: the same values
-                # and stream, scaled after the gather.
-                noisy = noisy + noise_scale * layout.values(
-                    self.rng.standard_normal(gradient.shape)
+                # and stream.
+                noisy = noisy + noise_scale * self.rng.standard_normal(
+                    noisy.shape
                 )
         self._direction = -layout.project(noisy)
         if options.PERTURBATION == "none":
-            self._gradient_norm = frobenius_norm(
-                layout.dense(self._direction)
-            )
+            self._gradient_norm = frobenius_norm(self._direction)
         if (
             options.STEP_POLICY == "constant"
             and self._gradient_norm <= options.gradient_tol

@@ -270,10 +270,11 @@ class SupportCoverageTerm(ObjectiveTerm):
         ``dU/dp_jk = pi_j (a_jk - q T_jk)``  (supported legs only).
 
     Every sum over legs runs on support values (``np.nonzero(support)``
-    order); row sums and totals that feed a trajectory reduce a
-    zero-padded ``(M, M)`` matrix
-    (:func:`~repro.utils.linalg.scatter_flat`), so they equal the dense
-    matrix's sums bit for bit.
+    order).  Row sums that feed a trajectory are a ``bincount`` over
+    the support values on a sparse state; on a dense state (a city grid
+    below the sparse threshold) they reduce a zero-padded ``(M, M)``
+    matrix (:func:`~repro.utils.linalg.scatter_flat`), so they equal
+    the dense matrix's sums bit for bit.
     """
 
     def __init__(
@@ -336,18 +337,28 @@ class SupportCoverageTerm(ObjectiveTerm):
         """The zero-padded ``(M, M)`` matrix of support ``values``."""
         return scatter_flat(self._sup_flat, values, self._size)
 
-    def _deviations(self, pi: np.ndarray, p_s: np.ndarray) -> np.ndarray:
-        """``c_i`` from ``pi`` and the support values ``p_s``."""
+    def _row_sums(self, values: np.ndarray, state: ChainState):
+        """Row sums of support ``values``: a bincount in support order
+        on a sparse state, the zero-padded matrix's on a dense one."""
+        if state.template is not None:
+            return np.bincount(
+                self._sup_j, weights=values, minlength=self._size
+            )
+        return self._padded(values).sum(axis=1)
+
+    def _deviations(self, state: ChainState, p_s: np.ndarray):
+        """``c_i`` at ``state``, whose support values are ``p_s``."""
+        pi = state.pi
         weights = pi[self._j] * p_s[self._entry_pos] * self._t_val
         covered = np.bincount(
             self._i, weights=weights, minlength=self._size
         )
-        total = float(pi @ self._padded(p_s * self._sup_t).sum(axis=1))
+        total = float(pi @ self._row_sums(p_s * self._sup_t, state))
         return covered - self._phi * total
 
     def deviations(self, state: ChainState) -> np.ndarray:
         """The per-PoI deviations ``c_i`` (same contract as the dense term)."""
-        return self._deviations(state.pi, self._values(state.p))
+        return self._deviations(state, self._values(state.p))
 
     def shares(self, state: ChainState) -> np.ndarray:
         """Long-run coverage shares ``C-bar_i`` (Eq. 2), one bincount."""
@@ -388,14 +399,14 @@ class SupportCoverageTerm(ObjectiveTerm):
         """``(dU/dpi, dU/dP values)``: the leg inner ``a_jk - q T_jk``
         on the support, one ``a`` bin per supported leg."""
         p_s = self._values(state.p)
-        weighted = self.alpha * self._deviations(state.pi, p_s)
+        weighted = self.alpha * self._deviations(state, p_s)
         a = np.bincount(
             self._entry_pos,
             weights=weighted[self._i] * self._t_val,
             minlength=self._sup_flat.size,
         )
         inner = a - float(weighted @ self._phi) * self._sup_t
-        grad_pi = self._padded(p_s * inner).sum(axis=1)
+        grad_pi = self._row_sums(p_s * inner, state)
         return grad_pi, state.pi[self._sup_j] * inner
 
     def grad_pi(self, state: ChainState) -> np.ndarray:

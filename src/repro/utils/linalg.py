@@ -97,22 +97,33 @@ def scatter_flat(
 NORM_CHUNK = 10_000
 
 
-def frobenius_norm(array: np.ndarray) -> float:
-    """``np.linalg.norm(array)``, the same for any BLAS thread count.
+def sum_of_squares(array: np.ndarray) -> float:
+    """``x.dot(x)`` over the flattened array, the same for any BLAS
+    thread count.
 
-    ``np.linalg.norm`` is ``sqrt(x.dot(x))`` over the flattened array,
-    a BLAS ``ddot`` that OpenBLAS runs on several threads for long
-    vectors.  Here the squares are summed one chunk of at most
-    :data:`NORM_CHUNK` entries at a time, in order, so the result does
-    not depend on the thread count; an array of up to that many entries
-    gets exactly ``np.linalg.norm``'s arithmetic.
+    A BLAS ``ddot`` that OpenBLAS runs on several threads for long
+    vectors rounds differently per thread count.  Here the squares are
+    summed one chunk of at most :data:`NORM_CHUNK` entries at a time, in
+    order, so the result does not depend on the thread count; an array
+    of up to that many entries gets exactly one ``ddot``.
     """
     flat = np.ravel(np.asarray(array, dtype=float), order="K")
     total = 0.0
     for start in range(0, flat.size, NORM_CHUNK):
         part = flat[start:start + NORM_CHUNK]
         total += part.dot(part)
-    return float(np.sqrt(total))
+    return total
+
+
+def frobenius_norm(array: np.ndarray) -> float:
+    """``np.linalg.norm(array)``, the same for any BLAS thread count.
+
+    ``np.linalg.norm`` is ``sqrt(x.dot(x))``; here the squares go
+    through :func:`sum_of_squares`, so an array of up to
+    :data:`NORM_CHUNK` entries gets exactly ``np.linalg.norm``'s
+    arithmetic.
+    """
+    return float(np.sqrt(sum_of_squares(array)))
 
 
 def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:

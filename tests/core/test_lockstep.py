@@ -226,8 +226,9 @@ class TestLockstepMultistart:
 
     @pytest.mark.parametrize("family", ["city-grid", "ring-of-grids"])
     def test_sparse_bit_identical_to_serial(self, family):
-        """Sparse walks advance one at a time through the same loop and
-        still equal the reference bit for bit, perf counts included."""
+        """A sparse cost skips the lockstep loop: the multi-start runs
+        each start as one whole walk, and still equals the reference
+        bit for bit, perf counts included."""
         cost = CoverageCost(
             scalable_topology(family, 64),
             CostWeights(alpha=1.0, beta=1.0), linalg="sparse",

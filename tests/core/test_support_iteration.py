@@ -1,11 +1,13 @@
-"""Sparse descent iterations run on support values, bit for bit.
+"""Sparse descent iterations run on support values.
 
 On the sparse path with an adjacency support the gradient, the noisy
 projection and the ray are computed on the ``(nnz,)`` support values
 (:func:`repro.core.gradient.support_derivative`, the template's
 ``project``, :meth:`~repro.core.perturbed.PerturbedWalk.
-begin_iteration`).  ``tests/oracles/gradient.py`` keeps the dense
-``(M, M)`` assembly they replaced.  These tests pin:
+begin_iteration`).  ``tests/oracles/gradient.py`` assembles the same
+contract on dense ``(M, M)`` arrays: row sums in support order, ``nnz``
+normals drawn at the support, and the gradient norm's support formula.
+These tests pin:
 
 * the differential contract — each term's support partials,
   ``cost.gradient``,
@@ -15,12 +17,16 @@ begin_iteration`).  ``tests/oracles/gradient.py`` keeps the dense
   generated supports (with and without self-loops), for the paper's
   terms alone, with the Section VII terms, and with the plugin terms,
   and whatever the memory layout of the input matrix;
-* the memory contract — one sparse iteration allocates less than three
-  dense ``(M, M)`` buffers (the noise draw and the whole derivative its
-  relative scale needs);
-* the noise draw — standard normals scaled after the gather are
-  numpy's ``normal(0, scale)`` draw byte for byte, stream position
-  included, on the dense layout and on the support layout.
+* the norm — the support formula (no ``(M, M)`` derivative) is the
+  Frobenius norm of the whole dense derivative to 1e-12 relative, on
+  the same supports and compositions;
+* the memory contract — one sparse ``begin_iteration`` (perturbed and
+  adaptive) allocates less than a quarter of a dense ``(M, M)``
+  buffer, and a whole sparse iteration less than three (the line
+  search winner's dense ``P`` and the best-matrix copy);
+* the noise draw — standard normals scaled after the draw are numpy's
+  ``normal(0, scale)`` draw byte for byte, stream position included:
+  ``M^2`` of them on the dense layout, ``nnz`` on the support layout.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from repro.core.perturbed import (
 from repro.topology.library import scalable_topology
 from repro.topology.model import Topology
 from repro.topology.random_gen import random_topology
+from repro.utils.linalg import frobenius_norm
 from tests.oracles import gradient as oracle
 
 COMPOSITIONS = {
@@ -182,26 +189,68 @@ def test_support_iteration_matches_dense_assembly(
         )
 
 
-def test_sparse_iteration_allocates_less_than_three_dense_buffers():
-    size = 256
+@settings(
+    deadline=None, max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kind=st.sampled_from(["city-grid", "ring-of-grids", "loops", "no-loops"]),
+    composition=st.sampled_from(sorted(COMPOSITIONS)),
+    topology_seed=st.integers(0, 50),
+    seed=st.integers(0, 2**16),
+    near_barrier=st.booleans(),
+)
+def test_support_norm_is_the_dense_norm(
+    kind, composition, topology_seed, seed, near_barrier
+):
+    cost = _cost(kind, topology_seed, composition)
+    state = _state(cost, seed, near_barrier)
+    _, norm = cost.gradient_values(state, norm=True)
+    dense = frobenius_norm(oracle.total_derivative(state, cost.terms))
+    assert abs(norm - dense) <= 1e-12 * dense
+
+
+def _sparse_walk(options, size=256):
     cost = CoverageCost(
         scalable_topology("city-grid", size),
         CostWeights(alpha=1.0, beta=1e-3), linalg="sparse",
     )
-    options = PerturbedOptions()
     walk = PerturbedWalk(
         cost, paper_random_matrix(size, seed=2, support=cost.support), 3,
         options,
     )
     advance_walk(cost, walk, options)  # warm caches and the template
+    return cost, walk
+
+
+def _peak_bytes(call) -> int:
     tracemalloc.start()
     try:
-        advance_walk(cost, walk, options)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sparse_iteration_allocates_less_than_three_dense_buffers():
+    size = 256
+    options = PerturbedOptions()
+    cost, walk = _sparse_walk(options, size)
+    peak = _peak_bytes(lambda: advance_walk(cost, walk, options))
     assert walk.iteration == 2
     assert peak < 3 * size * size * 8
+
+
+@pytest.mark.parametrize(
+    "options", [PerturbedOptions(), AdaptiveOptions()],
+    ids=["perturbed", "adaptive"],
+)
+def test_sparse_begin_iteration_builds_no_dense_buffer(options):
+    size = 256
+    _, walk = _sparse_walk(options, size)
+    peak = _peak_bytes(walk.begin_iteration)
+    assert walk.iteration == 2
+    assert peak < 0.25 * size * size * 8
 
 
 @pytest.mark.parametrize("layout", ["dense", "support"])
@@ -217,12 +266,18 @@ def test_noise_draw_is_the_normal_draw(layout):
     walk = PerturbedWalk(cost, state, 8, options)
     walk.begin_iteration()
     rng = np.random.default_rng(8)
-    values, gradient = cost.gradient_values(state, full=True)
-    rms = float(np.linalg.norm(gradient)) / state.p.size**0.5
+    values, norm = cost.gradient_values(state, norm=True)
+    draws = cost.size**2 if layout == "dense" else int(cost.support.sum())
+    assert values.size == draws
+    rms = norm / state.p.size**0.5
     noise = rng.normal(
-        0.0, options.sigma * max(rms, 1e-300), size=gradient.shape
+        0.0, options.sigma * max(rms, 1e-300), size=values.shape
     )
     ray_layout = cost.ray_layout()
-    expected = -ray_layout.project(values + ray_layout.values(noise))
+    expected = -ray_layout.project(values + noise)
     assert walk._direction.tobytes() == expected.tobytes()
     assert walk.rng.bit_generator.state == rng.bit_generator.state
+    # The stream sits exactly ``draws`` normals past the seed.
+    skipped = np.random.default_rng(8)
+    skipped.standard_normal(draws)
+    assert walk.rng.bit_generator.state == skipped.bit_generator.state
