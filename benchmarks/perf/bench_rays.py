@@ -21,6 +21,13 @@ in lockstep instead.  Three claims are measured (see
    the loop does; the cell reports wall time and the ``tracemalloc``
    peak of both, with no floor, to show the driver holds no more than
    the loop.
+4. **Speculative trisection** — a seeded paper-1 perturbed walk, whose
+   searches evaluate three trisection rounds per ``batch_evaluate``
+   call, is byte-identical to the same walk under the
+   one-round-per-call line search in ``tests/oracles/linesearch.py``
+   (histories, matrices, checkpoints, and every perf counter but the
+   batch counts), and stays within a stated ``batch_calls`` budget;
+   the count is printed.
 
 Results are written to ``benchmarks/results/BENCH_rays.json``.
 
@@ -30,8 +37,8 @@ Usage::
     python benchmarks/perf/bench_rays.py --check-only  # CI smoke
 
 ``--check-only`` shrinks the iteration budgets, asserts the equivalence
-claim, skips writing the results file, and exits nonzero on any
-violation.
+and speculative-trisection claims, skips writing the results file, and
+exits nonzero on any violation.
 """
 
 from __future__ import annotations
@@ -56,8 +63,12 @@ import scipy  # noqa: E402
 
 from repro import CostWeights, CoverageCost, paper_topology  # noqa: E402
 from repro.core.multistart import optimize_multistart  # noqa: E402
-from repro.core.perturbed import PerturbedOptions  # noqa: E402
+from repro.core.perturbed import (  # noqa: E402
+    PerturbedOptions,
+    optimize_perturbed,
+)
 from repro.topology.library import scalable_topology  # noqa: E402
+from tests.oracles import linesearch as oracle_search  # noqa: E402
 from tests.oracles import multistart as oracle  # noqa: E402
 
 DEFAULT_OUT = REPO / "benchmarks" / "results" / "BENCH_rays.json"
@@ -76,6 +87,14 @@ SPEEDUP_FLOOR = 1.5
 #: (city-grid size, random_starts, iterations) sparse memory cell.
 FULL_SPARSE = (144, 1, 8)
 SMOKE_SPARSE = (64, 1, 3)
+
+#: (iterations, seed) of the seeded paper-1 walk checked against the
+#: one-round-per-call line search.
+WALK_CHECK = (12, 4)
+#: ``batch_calls`` budget of that walk: per iteration one sweep call,
+#: ceil(40 / 3) = 14 calls for the 40 trisection rounds, and one
+#: fallback probe.  The one-round-per-call search needs 1 + 40 (+ 1).
+WALK_BATCH_BUDGET = WALK_CHECK[0] * (1 + 14 + 1)
 
 PERF_FIELDS = (
     "accepted_steps", "accept_factorizations", "factorizations",
@@ -238,6 +257,59 @@ def bench_sparse_cell(size: int, random_starts: int, iterations: int,
     }
 
 
+def check_speculative_walk(iterations: int, seed: int) -> dict:
+    """A seeded paper-1 perturbed walk against the oracle line search.
+
+    Both walks must agree byte for byte; the speculative one must stay
+    within :data:`WALK_BATCH_BUDGET` batch calls.
+    """
+    cost = CoverageCost(paper_topology(1), CostWeights(alpha=1.0, beta=1.0))
+    options = PerturbedOptions(
+        max_iterations=iterations, stall_limit=iterations + 1,
+        checkpoint_every=3,
+    )
+    walk = optimize_perturbed(cost, seed=seed, options=options)
+    reference = oracle_search.optimize_perturbed(
+        cost, seed=seed, options=options
+    )
+    mismatched = [
+        name for name, same in (
+            ("history", walk.history == reference.history),
+            ("matrix", walk.matrix.tobytes() == reference.matrix.tobytes()),
+            ("best_matrix",
+             walk.best_matrix.tobytes() == reference.best_matrix.tobytes()),
+            ("checkpoints", [
+                (i, m.tobytes()) for i, m in walk.checkpoints
+            ] == [(i, m.tobytes()) for i, m in reference.checkpoints]),
+        ) if not same
+    ] + [
+        f"perf.{name}" for name in PERF_FIELDS
+        if name not in ("batch_calls", "batch_matrices")
+        and getattr(walk.perf, name) != getattr(reference.perf, name)
+    ]
+    _check(
+        not mismatched,
+        "speculative walk and the one-round-per-call walk disagree on "
+        + ", ".join(mismatched),
+    )
+    _check(
+        walk.perf.batch_calls <= WALK_BATCH_BUDGET,
+        f"speculative walk made {walk.perf.batch_calls} batch calls, "
+        f"over the budget of {WALK_BATCH_BUDGET}",
+    )
+    return {
+        "paper_topology": 1,
+        "iterations": iterations,
+        "seed": seed,
+        "batch_calls": walk.perf.batch_calls,
+        "batch_matrices": walk.perf.batch_matrices,
+        "oracle_batch_calls": reference.perf.batch_calls,
+        "oracle_batch_matrices": reference.perf.batch_matrices,
+        "batch_call_budget": WALK_BATCH_BUDGET,
+        "bit_identical": True,
+    }
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as handle:
@@ -267,6 +339,18 @@ def main(argv=None) -> int:
 
     cells = []
     try:
+        iterations, seed = WALK_CHECK
+        print(
+            f"speculative paper-1 walk x {iterations} iterations "
+            "vs the one-round-per-call search ...",
+            flush=True,
+        )
+        walk_check = check_speculative_walk(iterations, seed)
+        print(
+            f"  byte-identical; batch_calls {walk_check['batch_calls']} "
+            f"(budget {WALK_BATCH_BUDGET}, one round per call: "
+            f"{walk_check['oracle_batch_calls']})"
+        )
         for paper_id, starts, iterations in grid:
             print(
                 f"topology {paper_id} x starts={starts} x "
@@ -335,6 +419,7 @@ def main(argv=None) -> int:
         ),
         "cells": cells,
         "sparse_cell": sparse_cell,
+        "speculative_walk": walk_check,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -44,6 +45,9 @@ LINALG_MODES = ("auto", "dense", "sparse")
 #: ``linalg="auto"`` switches to the sparse path at this many PoIs
 #: (and only for topologies carrying an adjacency mask).
 SPARSE_AUTO_THRESHOLD = 64
+#: ``(largest M, rounds)``: trisection rounds one dense line-search
+#: call evaluates, by chain size (see :func:`speculative_rounds`).
+SPECULATIVE_ROUNDS = ((16, 3), (36, 2))
 
 
 def resolve_linalg(linalg: str, topology: Topology) -> str:
@@ -76,6 +80,26 @@ def resolve_linalg(linalg: str, topology: Topology) -> str:
     ):
         return "sparse"
     return "dense"
+
+
+def speculative_rounds(size: int, linalg: str) -> int:
+    """Trisection rounds a ray's one ``batch_evaluate`` call serves.
+
+    A small dense chain's call costs mostly its fixed overhead, so a
+    ray evaluates the probes of the next few rounds at once (every
+    bracket they can reach, see
+    :meth:`~repro.core.linesearch.TrisectionState.speculative_steps`)
+    and its search uses the ones its rounds reach.  The depth is a
+    fixed function of the chain, so it changes no result: winners,
+    steps and trajectories are those of one round per call.  Larger
+    dense chains pay per probe, and a sparse probe costs its own
+    refine, so they evaluate one round per call.
+    """
+    if linalg == "dense":
+        for largest, rounds in SPECULATIVE_ROUNDS:
+            if size <= largest:
+                return rounds
+    return 1
 
 
 @dataclass(frozen=True)
@@ -604,14 +628,11 @@ class CoverageCost:
         """
         ok = (diag < 1.0 - 1e-13).all(axis=1)
         if self._support is None:
-            return (
-                ok
-                & (dense >= 0.0).all(axis=(1, 2))
-                & (dense <= 1.0).all(axis=(1, 2))
-            )
+            flat = dense.reshape(len(dense), -1)
+            return ok & ((flat >= 0.0) & (flat <= 1.0)).all(axis=1)
         if entries is None:
             entries = dense[:, self._support]  # (k, #supported)
-        ok &= (entries >= 0.0).all(axis=1) & (entries <= 1.0).all(axis=1)
+        ok &= ((entries >= 0.0) & (entries <= 1.0)).all(axis=1)
         if dense is not None:
             ok &= (
                 np.count_nonzero(dense.reshape(len(dense), -1), axis=1)
@@ -626,15 +647,13 @@ class CoverageCost:
         probes whose ``pi`` and ``Z`` came out finite and positive.
         """
         k, size = stack.shape[0], self.size
-        eye = np.eye(size)
-        # Stationary distributions: solve (I - P^T | ones) pi = e_n.
-        systems = eye[None, :, :] - np.transpose(stack, (0, 2, 1))
+        eye, rhs = _stationary_system(size)
+        # Stationary distributions: solve (I - P^T | ones) pi = e_n, one
+        # right-hand side for the whole stack.
+        systems = eye - np.transpose(stack, (0, 2, 1))
         systems[:, -1, :] = 1.0
-        rhs = np.zeros(size)
-        rhs[-1] = 1.0
-        rhs_stack = np.broadcast_to(rhs[:, None], (k, size, 1))
         try:
-            pis = np.linalg.solve(systems, rhs_stack)[..., 0]
+            pis = np.linalg.solve(systems, rhs)
         except np.linalg.LinAlgError:
             pis = _solve_one_by_one(systems, rhs)
         # Sanitize exactly as the scalar solver does (clip round-off
@@ -646,20 +665,19 @@ class CoverageCost:
         sums = pis.sum(axis=1, keepdims=True)
         pis = pis / np.where(sums > 0.0, sums, 1.0)
         # Fundamental matrices Z = inv(I - P + W).
-        cores = eye[None, :, :] - stack + pis[:, None, :]
+        cores = eye - stack + pis[:, None, :]
         try:
             zs = np.linalg.inv(cores)
         except np.linalg.LinAlgError:
             zs = _invert_one_by_one(cores)
-        solved = (
-            np.isfinite(pis).all(axis=1)
-            & (pis > 0.0).all(axis=1)
-            & np.isfinite(zs).all(axis=(1, 2))
-        )
+        # Finite and positive: NaN and inf fail both comparisons.
+        solved = ((pis > 0.0) & (pis < np.inf)).all(axis=1) & np.isfinite(
+            zs.reshape(k, -1)
+        ).all(axis=1)
         z_diag = np.einsum("kii->ki", zs)
         diffs = z_diag[:, None, :] - zs  # (k, j, i): z_ii - z_ji
         w = stack * np.transpose(diffs, (0, 2, 1))
-        w[:, np.arange(size), np.arange(size)] = 0.0
+        w.reshape(k, -1)[:, :: size + 1] = 0.0  # the diagonals
         exposures = w.sum(axis=2) / (pis * (1.0 - diag))
         return pis, zs, exposures, solved
 
@@ -796,6 +814,10 @@ class RayBatch:
             self._direction = self._support_values(direction)
             if self._state is None:
                 self._state = self._base_state()
+        self.rounds_per_call = speculative_rounds(
+            cost.size, cost.resolved_linalg
+        )
+        self._pending = None
         self._best_step: Optional[float] = None
         self._best_value = np.inf
         self._best_parts = None
@@ -859,32 +881,52 @@ class RayBatch:
         return self._cost.batch_evaluate(probes, reference=self._state)
 
     def __call__(self, steps: np.ndarray) -> np.ndarray:
+        values = self.speculate(steps)
+        self.commit(None)
+        return values
+
+    def speculate(self, steps: np.ndarray) -> np.ndarray:
+        """``U_eps`` at ``steps`` (non-finite ones ``inf``), held for
+        :meth:`commit`: the winner is not tracked yet."""
         steps = np.asarray(steps, dtype=float)
         probes = self._probes(steps)
-        values, pis, zs, ok = self._evaluate(probes)
-        return self._observe(steps, probes, values, pis, zs, ok)
+        self._pending = (steps, probes) + self._evaluate(probes)
+        return self._pending[2]
 
-    def _observe(self, steps, probes, values, pis, zs, ok) -> np.ndarray:
+    def commit(self, used) -> None:
+        """Track the winner among the last :meth:`speculate`'s probes.
+
+        ``used`` indexes the probes a search used, in the order it used
+        them (``None``: all of them, in evaluation order).  Probes a
+        search did not reach never become the winner.
+        """
+        self._observe(*self._pending, used=used)
+        self._pending = None
+
+    def _observe(self, steps, probes, values, pis, zs, ok, used=None):
         """Track the first strictly-best feasible probe of one batch.
 
-        Shared by the single-ray path (``__call__``) and the fused
+        Shared by the single-ray path (:meth:`commit`) and the fused
         multi-ray path (:class:`MultiRayBatch`), which hands in each
         ray's slice of one stacked evaluation — so the winner a ray
-        records is independent of how its probes were batched.
+        records is independent of how its probes were batched.  With
+        ``used``, only those probes are candidates, in that order.
         """
+        if used is not None:
+            values, ok = values[used], ok[used]
         usable = ok & np.isfinite(values)
         if usable.any():
             masked = np.where(usable, values, np.inf)
-            index = int(np.argmin(masked))
-            if masked[index] < self._best_value:
+            position = int(np.argmin(masked))
+            if masked[position] < self._best_value:
+                index = position if used is None else int(used[position])
                 self._best_step = float(steps[index])
-                self._best_value = float(masked[index])
+                self._best_value = float(masked[position])
                 self._best_parts = (
                     probes[index],
                     pis[index],
                     None if zs is None else zs[index],
                 )
-        return values
 
     def state_at(self, step: float):
         """The recorded winner's state, or ``None`` on any mismatch.
@@ -986,18 +1028,28 @@ class MultiRayBatch:
             offset += steps.size
         return out
 
-    def evaluate(self, steps_per_ray) -> List[Optional[np.ndarray]]:
-        """One fused line-search stage across the rays.
+    def speculate(self, steps_per_ray) -> List[Optional[np.ndarray]]:
+        """One fused line-search stage across the rays, winners held.
 
         ``steps_per_ray[i]`` is the step array ray ``i`` evaluates this
         stage, or ``None`` for a ray sitting the stage out.  Returns the
-        per-ray ``U_eps`` arrays (``None`` where the input was ``None``),
-        with each ray's winner tracking updated exactly as if it had
-        evaluated its steps alone.
+        per-ray ``U_eps`` arrays (``None`` where the input was ``None``);
+        each participating ray then commits the probes its search used
+        (:meth:`RayBatch.commit`), exactly as if it had evaluated its
+        steps alone.
         """
         out: List[Optional[np.ndarray]] = [None] * len(self.rays)
-        for index, steps, *evaluated in self._evaluated(steps_per_ray):
-            out[index] = self.rays[index]._observe(steps, *evaluated)
+        for index, *evaluated in self._evaluated(steps_per_ray):
+            self.rays[index]._pending = tuple(evaluated)
+            out[index] = evaluated[2]
+        return out
+
+    def evaluate(self, steps_per_ray) -> List[Optional[np.ndarray]]:
+        """:meth:`speculate`, with every probe committed."""
+        out = self.speculate(steps_per_ray)
+        for ray, values in zip(self.rays, out):
+            if values is not None:
+                ray.commit(None)
         return out
 
     def probe_states(self, step_per_ray) -> List[Optional[tuple]]:
@@ -1026,6 +1078,16 @@ class MultiRayBatch:
                 )
                 out[index] = (float(values[0]), state)
         return out
+
+
+@functools.lru_cache(maxsize=8)
+def _stationary_system(size: int):
+    """``(I, e_n)`` of the stacked stationary solve, read-only."""
+    eye = np.eye(size)
+    rhs = np.zeros(size)
+    rhs[-1] = 1.0
+    eye.flags.writeable = rhs.flags.writeable = False
+    return eye, rhs
 
 
 def _solve_one_by_one(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ largest step keeping all entries in the closed box, shrunk by a hair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,7 +67,15 @@ def feasible_step_bound(matrix: np.ndarray, direction: np.ndarray) -> float:
 
 
 class _RayEvaluator:
-    """Uniform wrapper over scalar and batched ray objectives."""
+    """Uniform wrapper over scalar and batched ray objectives.
+
+    ``evaluations`` counts the probes a search used.  A batch objective
+    that offers ``speculate``/``commit`` (a
+    :class:`~repro.core.cost.RayBatch`) has its trisection rounds
+    evaluated ``rounds_per_call`` at a time: every probe of those
+    rounds in one call, then only the probes the search used are
+    committed, in the order the rounds used them.
+    """
 
     def __init__(
         self,
@@ -78,11 +86,27 @@ class _RayEvaluator:
             raise ValueError("provide objective or batch_objective")
         self._objective = objective
         self._batch = batch_objective
+        self._speculate = getattr(batch_objective, "speculate", None)
+        self.rounds_per_call = (
+            1 if self._speculate is None
+            else batch_objective.rounds_per_call
+        )
         self.evaluations = 0
 
     def __call__(self, steps: Sequence[float]) -> np.ndarray:
+        """Values at ``steps``, every one of them used."""
         steps = np.asarray(steps, dtype=float)
         self.evaluations += steps.size
+        values = self._values(steps)
+        if self._speculate is not None:
+            self._batch.commit(None)
+        return values
+
+    def _values(self, steps: np.ndarray) -> np.ndarray:
+        if self._speculate is not None:
+            # The ray's batch_evaluate maps non-finite values to inf
+            # under its own errstate.
+            return self._speculate(steps)
         if self._batch is not None:
             with np.errstate(all="ignore"):
                 values = np.asarray(self._batch(steps), dtype=float)
@@ -96,6 +120,17 @@ class _RayEvaluator:
                 value = np.inf
             values[index] = value if np.isfinite(value) else np.inf
         return values
+
+    def rounds(self, search: "TrisectionState") -> None:
+        """Run ``search``'s trisection rounds to the end."""
+        while True:
+            steps = search.speculative_steps(self.rounds_per_call)
+            if steps is None:
+                return
+            used = search.observe_speculative(self._values(steps))
+            self.evaluations += used.size
+            if self._speculate is not None:
+                self._batch.commit(used)
 
 
 class TrisectionState:
@@ -113,7 +148,10 @@ class TrisectionState:
 
     Protocol: :meth:`sweep_steps` -> :meth:`observe_sweep` ->
     repeatedly (:meth:`round_steps` -> :meth:`observe_round`) until
-    ``round_steps`` returns ``None`` -> :meth:`result`.  A search that
+    ``round_steps`` returns ``None`` -> :meth:`result`.  The rounds may
+    also go several at a time: :meth:`speculative_steps` ->
+    :meth:`observe_speculative` until ``speculative_steps`` returns
+    ``None``, which replays the same round decisions.  A search that
     is finished (infeasible bound, non-finite baseline, exhausted
     rounds, or a collapsed bracket) returns ``None`` from both
     ``*_steps`` methods.
@@ -182,15 +220,17 @@ class TrisectionState:
             self._lo, self._hi = 0.0, float(self.upper)
         self._swept = True
 
+    def _spent(self, width: float) -> bool:
+        """Whether a bracket of ``width`` is below the resolution."""
+        return width <= max(1e-15, 1e-12 * self.upper)
+
     def round_steps(self) -> Optional[np.ndarray]:
         """The next refinement round's ``[m1, m2]``, or ``None`` when
         done."""
         if self._result is not None or not self._swept:
             return None
         width = self._hi - self._lo
-        if self._rounds_left <= 0 or width <= max(
-            1e-15, 1e-12 * self.upper
-        ):
+        if self._rounds_left <= 0 or self._spent(width):
             self._finish()
             return None
         self._rounds_left -= 1
@@ -210,6 +250,64 @@ class TrisectionState:
             self._hi = self._m2
         else:
             self._lo = self._m1
+
+    def speculative_steps(self, depth: int) -> Optional[np.ndarray]:
+        """The probes of the next ``depth`` rounds, whatever their
+        outcomes, or ``None`` when done.
+
+        Every bracket those rounds can reach from the current one, the
+        current one first and then level by level, contributes its
+        ``[m1, m2]``: up to ``2^(depth+1) - 2`` steps.  A bracket the
+        rounds could not refine (below the resolution, or past the
+        round budget) contributes nothing.  The steps are computed by
+        :meth:`round_steps`'s arithmetic from the very brackets it
+        would see, so :meth:`observe_speculative` replays the rounds on
+        the same floats.  ``depth = 1`` is the next round's pair.
+        """
+        if self._result is not None or not self._swept:
+            return None
+        if self._rounds_left <= 0 or self._spent(self._hi - self._lo):
+            self._finish()
+            return None
+        steps: List[float] = []
+        self._plan = {}  # bracket node -> offset of its m1 in steps
+        level = {0: (self._lo, self._hi)}
+        for _ in range(min(depth, self._rounds_left)):
+            reached = {}
+            for node, (lo, hi) in level.items():
+                width = hi - lo
+                if self._spent(width):
+                    continue
+                m1 = lo + width / 3.0
+                m2 = hi - width / 3.0
+                self._plan[node] = len(steps)
+                steps += (m1, m2)
+                # Children as observe_round leaves the bracket.
+                reached[2 * node + 1] = (lo, m2)  # v1 <= v2
+                reached[2 * node + 2] = (m1, hi)
+            level = reached
+        return np.array(steps)
+
+    def observe_speculative(self, values: np.ndarray) -> np.ndarray:
+        """Replay the rounds :meth:`speculative_steps` planned.
+
+        ``values`` align with those steps.  Each round runs through
+        :meth:`round_steps` and :meth:`observe_round` with its bracket's
+        two values, exactly as if they had been evaluated alone, until
+        the plan runs out.  Returns the indices of the values used, in
+        the order the rounds used them.
+        """
+        used: List[int] = []
+        node = 0
+        while node in self._plan:
+            offset = self._plan[node]
+            v1, v2 = values[offset], values[offset + 1]
+            self.round_steps()
+            self.observe_round(v1, v2)
+            used += (offset, offset + 1)
+            node = 2 * node + (1 if v1 <= v2 else 2)
+        self._plan = None
+        return np.array(used, dtype=np.intp)
 
     def _finish(self) -> None:
         threshold = self.baseline - self.improvement_rtol * max(
@@ -346,7 +444,11 @@ def trisection_search(
     geometric_decades:
         Number of pre-sweep probes at ``upper * 10^-k``.
     batch_objective:
-        Vectorized ``d-array -> U-array``; preferred when available.
+        Vectorized ``d-array -> U-array``; preferred when available.  A
+        :class:`~repro.core.cost.RayBatch` has its rounds evaluated
+        ``rounds_per_call`` at a time (see
+        :func:`~repro.core.cost.speculative_rounds`) with the same
+        result.
     """
     evaluator = _RayEvaluator(objective, batch_objective)
     if baseline is None:
@@ -359,10 +461,5 @@ def trisection_search(
     probes = search.sweep_steps()
     if probes is not None:
         search.observe_sweep(evaluator(probes))
-        while True:
-            pair = search.round_steps()
-            if pair is None:
-                break
-            v1, v2 = evaluator(pair)
-            search.observe_round(v1, v2)
+        evaluator.rounds(search)
     return search.result(evaluations=evaluator.evaluations)

@@ -21,8 +21,9 @@ The default portfolio:
 On a dense cost, in process, the starts run in **lockstep**: every
 start's :class:`~repro.core.perturbed.PerturbedWalk` advances one
 descent iteration at a time, and the same line-search stage of every
-walk (geometric sweep, each trisection round, the random fallback
-probes) runs as **one** :meth:`~repro.core.cost.CoverageCost.
+walk (geometric sweep, each call's trisection rounds — several per call
+on small chains, see :func:`~repro.core.cost.speculative_rounds` — the
+random fallback probes) runs as **one** :meth:`~repro.core.cost.CoverageCost.
 batch_evaluate` through :class:`~repro.core.cost.MultiRayBatch`.  For
 the paper's matrix sizes per-call dispatch overhead is a large fraction
 of each stacked call, so one taller call per stage is markedly faster
@@ -42,8 +43,10 @@ per-start loop in ``tests/oracles/multistart.py``):
   single-walk order (noise, fallback step, acceptance test — the last
   short-circuited for non-worsening moves);
 * step selection runs through the shared
-  :class:`~repro.core.linesearch.TrisectionState` and each ray's
-  :meth:`~repro.core.cost.RayBatch._observe` winner rule, the very code
+  :class:`~repro.core.linesearch.TrisectionState` (its speculative
+  rounds included) and each ray's
+  :meth:`~repro.core.cost.RayBatch.commit` winner rule over the probes
+  its search used, the very code
   :func:`~repro.core.linesearch.trisection_search` executes;
 * the dense ``batch_evaluate`` treats stack members independently, so
   fused probe values equal single-ray values bitwise.
@@ -184,25 +187,20 @@ def _measured(counters: perf.PerfCounters):
 
 
 def _fused_values(batch, steps_per_ray, slots) -> List[Optional[np.ndarray]]:
-    """One fused line-search stage; sanitized values per participating ray.
+    """One fused line-search stage; values per participating ray.
 
-    Mirrors ``_RayEvaluator``'s handling in the single-walk search:
-    non-finite probe values become ``inf`` before the search sees them.
-    Attributes one single-walk ``batch_call`` to each participating walk.
+    The rays hold their probes until they commit the ones their search
+    used (:meth:`~repro.core.cost.MultiRayBatch.speculate`); the values
+    are already sanitized (non-finite ones ``inf``) as the single-walk
+    search sees them.  Attributes one single-walk ``batch_call`` to
+    each participating walk.
     """
-    with np.errstate(all="ignore"):
-        values = batch.evaluate(steps_per_ray)
-    out: List[Optional[np.ndarray]] = []
-    for slot, steps, vals in zip(slots, steps_per_ray, values):
-        if vals is None:
-            out.append(None)
-            continue
-        vals = np.asarray(vals, dtype=float)
-        vals[~np.isfinite(vals)] = np.inf
-        slot.counters.add("batch_calls")
-        slot.counters.add("batch_matrices", int(np.asarray(steps).size))
-        out.append(vals)
-    return out
+    values = batch.speculate(steps_per_ray)
+    for slot, steps in zip(slots, steps_per_ray):
+        if steps is not None:
+            slot.counters.add("batch_calls")
+            slot.counters.add("batch_matrices", int(steps.size))
+    return values
 
 
 def _fused_probes(batch, step_per_ray, slots) -> List[Optional[tuple]]:
@@ -251,20 +249,24 @@ def _iterate(
     # Stage 1: every search's geometric sweep, one stacked call.
     sweeps = [search.sweep_steps() for search in searches]
     values = _fused_values(batch, sweeps, slots)
-    for search, vals in zip(searches, values):
+    for search, ray, vals in zip(searches, batch.rays, values):
         if vals is not None:
+            ray.commit(None)
             search.observe_sweep(vals)
 
     # Stage 2: trisection rounds in lockstep until every search is
-    # done (finished searches sit out with ``None``).
+    # done (finished searches sit out with ``None``), each stage the
+    # next ``rounds_per_call`` rounds of every search, as a lone walk's
+    # search evaluates them.
+    depth = batch.rays[0].rounds_per_call
     while True:
-        pairs = [search.round_steps() for search in searches]
-        if all(pair is None for pair in pairs):
+        plans = [search.speculative_steps(depth) for search in searches]
+        if all(plan is None for plan in plans):
             break
-        values = _fused_values(batch, pairs, slots)
-        for search, vals in zip(searches, values):
+        values = _fused_values(batch, plans, slots)
+        for search, ray, vals in zip(searches, batch.rays, values):
             if vals is not None:
-                search.observe_round(vals[0], vals[1])
+                ray.commit(search.observe_speculative(vals))
 
     # Stage 3: step choices, then all random fallback probes fused.
     fallbacks = [

@@ -125,9 +125,12 @@ class BarrierPenalty(ObjectiveTerm):
 
         Only feasible rows (``batch.ok``) with an entry inside a band are
         evaluated: infeasible ones map to ``+inf`` anyway, and entries
-        outside ``[0, 1]`` would make ``elementwise_value`` raise.
+        outside ``[0, 1]`` would make the logarithms meaningless.
         Support-value batches (``batch.entries``) are already the
         supported entries, in the order ``stack[:, support]`` gathers.
+        All rows go through one pass of :meth:`elementwise_value`'s
+        arithmetic, each row summed on its own contiguous copy, so a
+        probe's value is the one a lone evaluation gives, bit for bit.
         """
         entries = batch.entries
         if entries is None:
@@ -135,14 +138,19 @@ class BarrierPenalty(ObjectiveTerm):
             entries = (
                 stack if self.support is None else stack[:, self.support]
             )
+        entries = entries.reshape(len(entries), -1)
         eps = self.epsilon
-        in_band = (entries <= eps) | (entries >= 1.0 - eps)
-        rows_with_band = (
-            in_band.reshape(len(entries), -1).any(axis=1) & batch.ok
-        )
+        lower = entries <= eps
+        upper = entries >= 1.0 - eps
+        rows = np.nonzero((lower | upper).any(axis=1) & batch.ok)[0]
         penalty = np.zeros(len(entries))
-        for index in np.nonzero(rows_with_band)[0]:
-            penalty[index] = float(
-                self.elementwise_value(entries[index]).sum()
+        if rows.size:
+            p = np.ascontiguousarray(entries[rows])
+            lower, upper = lower[rows], upper[rows]
+            result = np.zeros(p.shape)
+            result[lower] = -np.log(p[lower]) * (eps - p[lower]) ** 2 / eps
+            result[upper] = (
+                -np.log(1.0 - p[upper]) * (1.0 - eps - p[upper]) ** 2 / eps
             )
+            penalty[rows] = result.sum(axis=1)
         return penalty

@@ -361,9 +361,16 @@ class SupportCoverageTerm(ObjectiveTerm):
         return self._deviations(state, self._values(state.p))
 
     def shares(self, state: ChainState) -> np.ndarray:
-        """Long-run coverage shares ``C-bar_i`` (Eq. 2), one bincount."""
+        """Long-run coverage shares ``C-bar_i`` (Eq. 2), one bincount.
+
+        The normalizing total sums the support values in support order
+        on a sparse state, the zero-padded matrix on a dense one.
+        """
         weighted = state.pi[self._sup_j] * self._values(state.p)
-        total = float(np.sum(self._padded(weighted * self._sup_t)))
+        legs = weighted * self._sup_t
+        total = float(np.sum(
+            legs if state.template is not None else self._padded(legs)
+        ))
         covered = np.bincount(
             self._i,
             weights=weighted[self._entry_pos] * self._t_val,
@@ -383,17 +390,17 @@ class SupportCoverageTerm(ObjectiveTerm):
         # einsum is an O(n M^2) scan that dominates at large M, while
         # off-support entries of a valid stack are identically zero.
         totals = (pis[:, self._sup_j] * entries * self._sup_t).sum(axis=1)
-        values = np.empty(entries.shape[0])
-        for n in range(entries.shape[0]):
-            weights = (
-                pis[n, self._j] * entries[n, self._entry_pos] * self._t_val
-            )
-            covered = np.bincount(
-                self._i, weights=weights, minlength=self._size
-            )
-            c = covered - self._phi * totals[n]
-            values[n] = 0.5 * np.sum(self.alpha * c * c)
-        return values
+        # One bincount for the whole stack, probe n's entries binned at
+        # n * M + i in entry order: each bin adds what a per-probe
+        # bincount adds, in the same order.
+        k, size = entries.shape[0], self._size
+        weights = pis[:, self._j] * entries[:, self._entry_pos] * self._t_val
+        bins = (np.arange(k)[:, None] * size + self._i).reshape(-1)
+        covered = np.bincount(
+            bins, weights=weights.reshape(-1), minlength=k * size
+        ).reshape(k, size)
+        c = covered - self._phi * totals[:, None]
+        return 0.5 * (self.alpha * c * c).sum(axis=1)
 
     def _partials(self, state: ChainState):
         """``(dU/dpi, dU/dP values)``: the leg inner ``a_jk - q T_jk``

@@ -40,7 +40,12 @@ class PerfCounters:
     work is tracked separately: ``batch_calls`` stacked evaluations
     covering ``batch_matrices`` matrices in total (each batched matrix
     costs one stacked solve plus one stacked inversion, but never a
-    per-matrix Python round trip).  The sparse path counts its own
+    per-matrix Python round trip).  ``batch_matrices`` counts every
+    matrix evaluated, the speculative probes a search never reached
+    included: a small dense chain's call holds the probes of several
+    trisection rounds (:func:`repro.core.cost.speculative_rounds`),
+    while :attr:`~repro.core.linesearch.LineSearchResult.evaluations`
+    counts only the probes the search used.  The sparse path counts its own
     work: ``sparse_factorizations`` counts every sparse LU (each
     ``splu`` call in :mod:`repro.markov.sparse`): one per sparse chain
     state, plus a line-search probe's own factorization when
@@ -118,6 +123,10 @@ def perf_scope():
 @dataclass
 class OptimizerPerf:
     """Per-run hot-path statistics attached to an OptimizationResult.
+
+    ``batch_calls`` / ``batch_matrices`` are :class:`PerfCounters`'s:
+    the matrices include speculative trisection probes the run's
+    searches did not use.
 
     ``accept_factorizations`` counts the *scalar* factorizations spent
     constructing accepted candidates' states — zero when the line

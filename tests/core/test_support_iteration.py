@@ -21,9 +21,10 @@ These tests pin:
   Frobenius norm of the whole dense derivative to 1e-12 relative, on
   the same supports and compositions;
 * the memory contract — one sparse ``begin_iteration`` (perturbed and
-  adaptive) allocates less than a quarter of a dense ``(M, M)``
-  buffer, and a whole sparse iteration less than three (the line
-  search winner's dense ``P`` and the best-matrix copy);
+  adaptive) and one sparse ``evaluate`` each allocate less than a
+  quarter of a dense ``(M, M)`` buffer, and a whole sparse iteration
+  less than three (the line search winner's dense ``P`` and the
+  best-matrix copy);
 * the noise draw — standard normals scaled after the draw are numpy's
   ``normal(0, scale)`` draw byte for byte, stream position included:
   ``M^2`` of them on the dense layout, ``nnz`` on the support layout.
@@ -239,6 +240,15 @@ def test_sparse_iteration_allocates_less_than_three_dense_buffers():
     peak = _peak_bytes(lambda: advance_walk(cost, walk, options))
     assert walk.iteration == 2
     assert peak < 3 * size * size * 8
+
+
+def test_sparse_evaluate_builds_no_dense_buffer():
+    # The coverage shares' total sums support values, not a padded
+    # (M, M) matrix.
+    size = 256
+    cost, walk = _sparse_walk(PerturbedOptions(), size)
+    peak = _peak_bytes(lambda: cost.evaluate(walk.state))
+    assert peak < 0.25 * size * size * 8
 
 
 @pytest.mark.parametrize(
